@@ -1,7 +1,7 @@
 """bootgrid: anisotropic bootstrap-percolation simulation and scaling laws.
 
 Finite-lattice growth rules (standard, modified, (1,2), (1,b), Duarte and
-3-d (a,b,c) neighbourhoods), exact and queue-based closures, Monte Carlo
+3-d (a,b,c) neighbourhoods), exact, queue-based and bit-lane closures, Monte Carlo
 fill-probability and threshold estimation, exact small-case enumeration
 oracles, and the closed-form nucleation/critical-volume scaling laws with
 their numeric inversion.
@@ -63,6 +63,7 @@ from .rules import (
     closure,
     closure_batch,
     closure_fast,
+    closure_lanes,
     closure_naive,
     is_stable,
     make_rule,
@@ -92,6 +93,7 @@ __all__ = [
     "closure",
     "closure_batch",
     "closure_fast",
+    "closure_lanes",
     "closure_naive",
     "column_growth_polynomial",
     "critical_log_volume",

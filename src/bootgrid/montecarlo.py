@@ -24,14 +24,22 @@ import numpy as np
 
 from .lattice import Configuration, GridSpec
 from .rng import Stream, derive_seed
-from .rules import Rule, RuleFamily, closure_batch, closure_fast, make_rule
+from .rules import (
+    Rule,
+    RuleFamily,
+    closure_fast,
+    closure_lanes,
+    make_rule,
+    pack_lanes,
+    unpack_lanes,
+)
 
 _STREAM_DOMAIN = 0x66696C6C
 
 EXACT_MAX_CELLS = 20
 
-# Grids up to this many cells are closed in stacked batches; larger ones go
-# through the queue closure one trial at a time.
+# Grids up to this many cells are closed 64 trials to a word by the lane
+# kernel; larger ones go through the queue closure one trial at a time.
 _BATCH_CELL_LIMIT = 4096
 
 
@@ -65,24 +73,36 @@ class SweepRow:
 
 
 def _chunk_size(cells: int) -> int:
-    return max(1, min(4096, (1 << 16) // max(cells, 1)))
+    """Trials a block: the block's grids hold about 2^16 words on the lane
+    path, 64 trials a word, and about 2^16 cells on the queue path."""
+    units = max(1, min(4096, (1 << 16) // max(cells, 1)))
+    return 64 * units if cells <= _BATCH_CELL_LIMIT else units
+
+
+def _full_lanes(closed: np.ndarray) -> np.ndarray:
+    """Per word, the lanes whose closure occupies every cell."""
+    return np.bitwise_and.reduce(closed.reshape(len(closed), -1), axis=1)
 
 
 def _trial_block_successes(
     rule: Rule, grid: GridSpec, p: float, root: Stream, start: int, m: int
 ) -> int:
-    """Number of filling trials among trial indices [start, start+m)."""
+    """Number of filling trials among trial indices [start, start+m).
+
+    On the lane path trial ``start + j`` is lane ``j`` of word ``j // 64``.
+    Occupancy is drawn a power-of-two number of trials at a time, at most
+    2^16 cells, so that a draw either fills whole words or lies inside one."""
     cells = grid.cells
-    u = root.uniform_block(start, m, cells)
-    occ = (u < p).reshape((m,) + grid.shape)
-    if cells <= _BATCH_CELL_LIMIT:
-        closed = closure_batch(occ, rule, periodic=grid.periodic)
-        return int(closed.reshape(m, -1).all(axis=1).sum())
-    successes = 0
-    for i in range(m):
-        cfg = Configuration(grid, occ[i])
-        successes += closure_fast(cfg, rule).is_full()
-    return successes
+    if cells > _BATCH_CELL_LIMIT:
+        occ = root.bernoulli_block(start, m, cells, p).reshape((m,) + grid.shape)
+        return sum(closure_fast(Configuration(grid, o), rule).is_full() for o in occ)
+    per_draw = 1 << (((1 << 16) // cells).bit_length() - 1)
+    lanes = np.zeros((-(-m // 64), cells), dtype=np.uint64)
+    for s in range(0, m, per_draw):
+        part = pack_lanes(root.bernoulli_block(start + s, min(per_draw, m - s), cells, p))
+        lanes[s // 64 : s // 64 + len(part)] |= part << np.uint64(s % 64)
+    closed = closure_lanes(lanes.reshape((len(lanes),) + grid.shape), rule, grid.periodic)
+    return int(unpack_lanes(_full_lanes(closed), m).sum())
 
 
 def fill_probability(
@@ -125,17 +145,35 @@ def fill_success_counts(rule: Rule, grid: GridSpec) -> np.ndarray:
     if cells > EXACT_MAX_CELLS:
         raise ValueError(f"exact enumeration supports at most {EXACT_MAX_CELLS} cells, got {cells}")
     total = 1 << cells
+    words = max(1, total // 64)
+    chunk = min(words, 1 << 12)
+    live = min(total, 64 * chunk)
     counts = np.zeros(cells + 1, dtype=np.int64)
-    chunk = min(total, 1 << 18)
-    for base in range(0, total, chunk):
-        idx = np.arange(base, base + chunk, dtype=np.uint32)
-        bits = ((idx[:, None] >> np.arange(cells, dtype=np.uint32)[None, :]) & 1).astype(bool)
-        occ = bits.reshape((chunk,) + grid.shape)
-        closed = closure_batch(occ, rule, periodic=grid.periodic)
-        full = closed.reshape(chunk, -1).all(axis=1)
-        k = bits.sum(axis=1, dtype=np.int64)
-        counts += np.bincount(k[full], minlength=cells + 1)
+    for first in range(0, words, chunk):
+        planes = _subset_planes(first, chunk, cells)
+        closed = closure_lanes(planes.reshape((chunk,) + grid.shape), rule, grid.periodic)
+        filling = np.flatnonzero(unpack_lanes(_full_lanes(closed), live)) + 64 * first
+        k = np.zeros(filling.size, dtype=np.int64)
+        for h in range(cells):
+            k += (filling >> h) & 1
+        counts += np.bincount(k, minlength=cells + 1)
     return counts
+
+
+def _subset_planes(first_word: int, n_words: int, cells: int) -> np.ndarray:
+    """Subset ``64 g + j`` of the cells as lane ``j`` of word ``g``, for
+    words ``first_word`` on: cell ``h`` holds bit ``h`` of the subset
+    index.  Below bit 6 that bit depends on the lane only, a constant
+    word; from bit 6 on it depends on the word only, so the word is all
+    ones or all zeros."""
+    g = np.arange(first_word, first_word + n_words, dtype=np.uint64)
+    planes = np.empty((n_words, cells), dtype=np.uint64)
+    for h in range(cells):
+        if h < 6:
+            planes[:, h] = sum(1 << j for j in range(64) if j >> h & 1)
+        else:
+            planes[:, h] = np.uint64(0) - ((g >> np.uint64(h - 6)) & np.uint64(1))
+    return planes
 
 
 def fill_probability_exact(rule: Rule, grid: GridSpec, p: float) -> float:
@@ -170,8 +208,9 @@ def estimate_pc(
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie strictly between 0 and 1, got {target}")
-    if p_tolerance <= 0.0:
-        raise ValueError(f"p_tolerance must be positive, got {p_tolerance}")
+    if not 0.0 < p_tolerance < 1.0:
+        # At 1 or more no probe would run and there would be no trials to report.
+        raise ValueError(f"p_tolerance must lie strictly between 0 and 1, got {p_tolerance}")
     lo, hi = 0.0, 1.0
     total_trials = 0
     while hi - lo > p_tolerance:
@@ -185,7 +224,7 @@ def estimate_pc(
     return Estimate(
         mean=0.5 * (lo + hi),
         stderr=0.5 * (hi - lo),
-        trials=max(total_trials, 1),
+        trials=total_trials,
         seed=seed,
     )
 

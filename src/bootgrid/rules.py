@@ -10,11 +10,23 @@ Two rule kinds cover every supported family:
   has at least one occupied neighbour at distance one.  This is a
   conjunction per axis and is deliberately not encoded as a threshold.
 
-The closure (the fixed point of repeated stepping) is provided twice:
-``closure_naive`` iterates the synchronous step until nothing changes,
-and ``closure_fast`` runs a work-queue algorithm that touches each cell a
-bounded number of times.  They agree bit for bit; the naive form is the
-oracle the fast one is tested against.
+The closure (the fixed point of repeated stepping) is provided three ways:
+
+* ``closure_naive`` iterates the synchronous step until nothing changes;
+  it is the oracle the other two are tested against.
+* ``closure_fast`` runs a work-queue algorithm that touches each cell a
+  bounded number of times, for one large, sparse configuration.
+* ``closure_lanes`` closes up to 64 configurations per uint64 word, one
+  configuration per bit lane (multispin coding).  A synchronous step is
+  a bit-sliced neighbour counter compared with ``theta`` in bit logic, or
+  the per-axis OR/AND of the modified rule.  ``closure_batch`` packs a
+  stack of boolean grids into lanes and unpacks the result; Monte Carlo
+  trials and exact subset enumeration put their configurations in the
+  lanes directly.
+
+All three agree bit for bit.  Neighbour counts use the narrowest unsigned
+type that holds the stencil size, so stencils of more than 255 offsets
+(``1b:b`` with b >= 127, ``abc`` with a+b+c >= 128) do not wrap.
 """
 
 from __future__ import annotations
@@ -233,8 +245,14 @@ def _shifted_into(out: np.ndarray, src: np.ndarray, offset: tuple[int, ...], per
     out[tuple(dst_idx)] += src[tuple(src_idx)]
 
 
+def _count_dtype(rule: Rule) -> np.dtype:
+    """The narrowest unsigned dtype that holds every neighbour count, so
+    that counts never wrap: uint8 up to 255 offsets, wider above."""
+    return np.min_scalar_type(len(rule.offsets))
+
+
 def _neighbour_counts(occ: np.ndarray, rule: Rule, periodic: bool) -> np.ndarray:
-    counts = np.zeros(occ.shape, dtype=np.uint8)
+    counts = np.zeros(occ.shape, dtype=_count_dtype(rule))
     occ8 = occ.view(np.uint8) if occ.dtype == bool else occ
     for off in rule.offsets:
         _shifted_into(counts, occ8, off, periodic)
@@ -335,7 +353,7 @@ def _wave_counts_threshold(
     cells = occ_flat.size
     if wave_dense is not None:
         # Dense wave: identical increments computed with shifted adds.
-        contrib = np.zeros(shape, dtype=np.uint8)
+        contrib = np.zeros(shape, dtype=counts.dtype)
         wave8 = wave_dense.view(np.uint8)
         for off in rule.offsets:
             _shifted_into(contrib, wave8, off, periodic)
@@ -412,7 +430,7 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     occ_flat = occ_nd.reshape(-1)
 
     if rule.kind == "threshold":
-        counts = np.zeros(cells, dtype=np.uint8)
+        counts = np.zeros(cells, dtype=_count_dtype(rule))
     else:
         axis_flags = [np.zeros(cells, dtype=bool) for _ in range(rule.dimension)]
         axis_count = np.zeros(cells, dtype=np.uint8)
@@ -444,24 +462,150 @@ def closure(config: Configuration, rule: Rule) -> Configuration:
     return closure_fast(config, rule)
 
 
+def pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """Pack a stack of boolean grids, shape (n, *grid shape), into uint64
+    words of shape (ceil(n / 64), *grid shape): bit ``j`` of word ``w`` is
+    grid ``64 w + j``.  Lanes past ``n`` are zero."""
+    n, shape = bits.shape[0], bits.shape[1:]
+    words = -(-n // 64)
+    packed = np.zeros((words * 8, int(np.prod(shape))), dtype=np.uint8)
+    packed[: -(-n // 8)] = np.packbits(bits.reshape(n, -1), axis=0, bitorder="little")
+    lanes = packed.reshape(words, 8, -1).transpose(0, 2, 1).copy().view(np.uint64)
+    return lanes.reshape((words,) + shape)
+
+
+def unpack_lanes(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_lanes`: the first ``n`` grids as booleans."""
+    count, shape = words.shape[0], words.shape[1:]
+    octets = np.ascontiguousarray(words).reshape(count, -1, 1).view(np.uint8)
+    octets = octets.transpose(0, 2, 1).reshape(count * 8, -1)
+    bits = np.unpackbits(octets, axis=0, count=n, bitorder="little")
+    return bits.view(bool).reshape((n,) + shape)
+
+
+def _count_reaches_theta(planes, theta, out, spare, digits) -> None:
+    """out = cells where at least ``theta`` of ``planes`` are set.
+
+    A vertical counter: ``digits[j]`` holds bit ``j`` of every cell's
+    count in every lane.  Adding plane ``i`` ripples a carry through the
+    digits that a count of at most ``i + 1`` can reach.  The comparison
+    with ``theta`` runs from its lowest set bit upward: ``count >= theta``
+    on bits ``0..j`` is ``d_j & ge`` where bit ``j`` of theta is 1 and
+    ``d_j | ge`` where it is 0.
+    """
+    if len(planes) == 1:
+        np.copyto(digits[0], planes[0])
+    else:
+        np.bitwise_and(planes[0], planes[1], out=digits[1])
+        np.bitwise_xor(planes[0], planes[1], out=digits[0])
+    for i in range(2, len(planes)):
+        top = (i + 1).bit_length() - 1
+        fresh = i + 1 == 1 << top  # digit `top` is first reached by this plane
+        carry = planes[i]
+        for j in range(top):
+            into = digits[top] if fresh and j == top - 1 else (spare if carry is out else out)
+            np.bitwise_and(digits[j], carry, out=into)
+            digits[j] ^= carry
+            carry = into
+        if not fresh:
+            digits[top] ^= carry
+    low = (theta & -theta).bit_length() - 1
+    ge = digits[low]
+    for j in range(low + 1, len(digits)):
+        (np.bitwise_and if theta >> j & 1 else np.bitwise_or)(ge, digits[j], out=out)
+        ge = out
+    if ge is not out:
+        np.copyto(out, ge)
+
+
+def _neighbour_on_every_axis(planes, out, spare) -> None:
+    """out = cells with an occupied unit neighbour on every axis; ``planes``
+    are the (+1, -1) neighbour planes of each axis in turn."""
+    np.bitwise_or(planes[0], planes[1], out=out)
+    for i in range(2, len(planes), 2):
+        np.bitwise_or(planes[i], planes[i + 1], out=spare)
+        out &= spare
+
+
+def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.ndarray:
+    """Closure of up to 64 configurations per machine word.
+
+    ``words`` is a uint64 array of the grid's shape, optionally with
+    leading batch axes.  Bit ``j`` of every word belongs to configuration
+    ``j``: for each lane ``j`` and batch position, the bit-plane of the
+    result equals ``closure_naive`` of the same bit-plane of ``words``.
+    The input is not modified.
+
+    The words are laid out flat with a halo as deep as the stencil's reach
+    on every grid axis, so each offset's shifted plane is one contiguous
+    slice of the flat array.  On an open grid the halo is zero and follows
+    each row (plane, block), where it also serves as the halo before the
+    next one; flat margins catch offsets past either end.  On a periodic
+    grid the halo is the wrapped grid on both sides, copied from the
+    interior before each step, so offsets that wrap onto one cell are each
+    counted.  A step is a fixed number of whole-array bit operations per
+    offset (multispin coding); the loop stops at the first step that
+    occupies nothing new.
+    """
+    d = rule.dimension
+    if words.dtype != np.uint64 or words.ndim < d:
+        raise ValueError(
+            f"closure_lanes needs a uint64 array with at least {d} axes, "
+            f"got {words.dtype} with shape {words.shape}"
+        )
+    lead = words.ndim - d
+    offsets = rule.offsets if rule.kind == "threshold" else _axis_units(d)
+    # numpy axis lead + k of the words is offset component d - 1 - k
+    reach = [max(abs(off[d - 1 - k]) for off in offsets) for k in range(d)]
+    before = reach if periodic else [0] * d
+    pads = [(0, 0)] * lead + list(zip(before, reach))
+    padded_shape = tuple(n + b + a for n, (b, a) in zip(words.shape, pads))
+    strides = [int(np.prod(padded_shape[lead + k + 1 :])) for k in range(d)]
+    shifts = [sum(off[d - 1 - k] * strides[k] for k in range(d)) for off in offsets]
+    margin = 0 if periodic else max(abs(sh) for sh in shifts)
+    total = int(np.prod(padded_shape))
+    flat = np.zeros(total + 2 * margin, dtype=np.uint64)
+    padded = flat[margin : margin + total].reshape(padded_shape)
+    interior = (...,) + tuple(slice(b, b + n) for b, n in zip(before, words.shape[lead:]))
+    padded[interior] = words
+
+    lo = sum(b * st for b, st in zip(before, strides))
+    hi = total - sum(r * st for r, st in zip(reach, strides))
+    core = flat[margin + lo : margin + hi]
+    planes = [flat[margin + lo + sh : margin + hi + sh] for sh in shifts]
+    free = np.zeros(padded_shape, dtype=np.uint64)  # empty interior cells
+    free[interior] = ~words
+    free = free.reshape(-1)[lo:hi]
+    if periodic:
+        # halo cell -> the interior cell it wraps to, as indices into flat
+        # (a periodic grid has no margin)
+        own = np.arange(total).reshape(padded_shape)
+        source = np.pad(own[interior], pads, mode="wrap").reshape(-1)
+        halo = np.flatnonzero(source != own.reshape(-1))
+        source = source[halo]
+
+    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
+    pred, spare, *counter = np.empty((2 + digits, hi - lo), dtype=np.uint64)
+    while True:
+        if periodic:
+            flat[halo] = flat[source]
+        if rule.kind == "threshold":
+            _count_reaches_theta(planes, rule.theta, pred, spare, counter)
+        else:
+            _neighbour_on_every_axis(planes, pred, spare)
+        pred &= free
+        if not pred.any():
+            return padded[interior].copy()
+        core |= pred
+        free ^= pred
+
+
 def closure_batch(occ: np.ndarray, rule: Rule, periodic: bool = False) -> np.ndarray:
     """Closure of many stacked configurations at once.
 
     ``occ`` has shape (m, *grid shape) and is not modified.  Slice ``i`` of
-    the result equals ``closure_naive`` of slice ``i``; the batch form just
-    amortises the numpy overhead when the grids are small.
+    the result equals ``closure_naive`` of slice ``i``.  The slices are
+    packed 64 to a word and closed together by :func:`closure_lanes`.
     """
-    occ = occ.astype(bool)
-    while True:
-        if rule.kind == "threshold":
-            counts = np.zeros(occ.shape, dtype=np.uint8)
-            occ8 = occ.view(np.uint8)
-            for off in rule.offsets:
-                _shifted_into(counts, occ8, off, periodic)
-            pred = counts >= rule.theta
-        else:
-            pred = _modified_predicate(occ, rule, periodic)
-        new = pred & ~occ
-        if not new.any():
-            return occ
-        occ |= new
+    occ = np.asarray(occ, dtype=bool)
+    return unpack_lanes(closure_lanes(pack_lanes(occ), rule, periodic), len(occ))

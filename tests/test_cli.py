@@ -178,6 +178,14 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("tol", ["1", "0", "1.5"])
+    def test_tolerance_outside_unit_interval_is_runtime_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "pc", "--rule", "standard2", "--L", "4",
+                                 "--trials", "10", "--tol", tol)
+        assert code == 1
+        assert "p_tolerance must lie strictly between 0 and 1" in err
+        assert out == ""
+
     def test_missing_grid_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, "fill", "--rule", "standard2", "--p", "0.5")
         assert code == 1

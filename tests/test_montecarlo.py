@@ -87,6 +87,31 @@ class TestFillProbability:
             succ += closure_fast(cfg, STD2).is_full()
         assert est.mean == succ / 600
 
+    def test_lane_words_filled_by_several_draws(self):
+        # 1200 cells: occupancy is drawn 32 trials at a time, two draws to a
+        # word; 150 trials leave the third word partly idle.
+        from bootgrid.montecarlo import _STREAM_DOMAIN
+        from bootgrid.rules import closure_fast
+
+        grid = GridSpec((40, 30))
+        est = fill_probability(STD2, grid, 0.07, 150, seed=6)
+        root = Stream((6, _STREAM_DOMAIN))
+        succ = sum(
+            closure_fast(random_configuration(grid, 0.07, root.child(i)), STD2).is_full()
+            for i in range(150)
+        )
+        assert 0 < succ < 150
+        assert est.mean == succ / 150
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        import bootgrid.montecarlo as mc
+
+        grid = GridSpec((7, 10))
+        whole = fill_probability(STD2, grid, 0.35, 1000, seed=4)
+        monkeypatch.setattr(mc, "_chunk_size", lambda cells: 64)
+        assert fill_probability(STD2, grid, 0.35, 1000, seed=4) == whole
+        assert fill_probability(STD2, grid, 0.35, 1000, seed=4, threads=3) == whole
+
     def test_queue_path_matches_per_trial_reconstruction(self):
         # 4900 cells exceeds the batch limit, exercising the per-trial
         # queue path; reconstruct with the naive closure instead.
@@ -199,6 +224,13 @@ class TestEstimatePc:
             estimate_pc(STD2, GridSpec((2, 2)), target=1.5)
         with pytest.raises(ValueError):
             estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=0.0)
+        for tol in (1.0, 2.0, -0.5):  # at 1 or more no probe would run
+            with pytest.raises(ValueError, match="p_tolerance"):
+                estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=tol)
+
+    def test_trials_count_every_probe(self):
+        est = estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=0.3, trials_per_probe=50, seed=1)
+        assert est.trials == 2 * 50  # widths 1 -> 0.5 -> 0.25
 
     def test_stderr_is_bracket_half_width(self):
         est = estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=1e-2,

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from bootgrid import (
     checkerboard_rect,
     closure_batch,
     closure_fast,
+    closure_lanes,
     closure_naive,
     empty_configuration,
     full_configuration,
@@ -21,6 +24,7 @@ from bootgrid import (
     random_configuration,
     step,
 )
+from bootgrid.rules import pack_lanes, unpack_lanes
 from reference import ref_closure, ref_step
 
 ALL_FAMILIES = [
@@ -236,7 +240,8 @@ class TestFastNaiveEquivalence:
         rule = make_rule(family)
         grid = family_grid(family, boundary)
         for i in range(25):
-            cfg = random_configuration(grid, p, Stream((hash((family.name, boundary)) & 0xFFFF, i)))
+            key = zlib.crc32(f"{family.name}/{boundary}".encode()) & 0xFFFF
+            cfg = random_configuration(grid, p, Stream((key, i)))
             assert closure_fast(cfg, rule) == closure_naive(cfg, rule)
 
     def test_batch_matches_naive(self):
@@ -244,7 +249,7 @@ class TestFastNaiveEquivalence:
             rule = make_rule(family)
             grid = family_grid(family, small=True)
             occ = (
-                Stream((family.name.__hash__() & 0xFFF,))
+                Stream((zlib.crc32(family.name.encode()) & 0xFFF,))
                 .uniforms(32 * grid.cells)
                 .reshape((32,) + grid.shape)
                 < 0.3
@@ -253,6 +258,94 @@ class TestFastNaiveEquivalence:
             for i in range(32):
                 want = closure_naive(Configuration(grid, occ[i]), rule)
                 assert np.array_equal(closed[i], want.cells)
+
+
+# Every family, with each 2-d grid no wider than the 1b:3 reach (so b >= width)
+# and periodic grids small enough that two offsets wrap onto one cell.
+LANE_FAMILIES = [
+    RuleFamily.parse(name)
+    for name in ("standard1", "standard2", "standard3", "modified1", "modified2", "modified3",
+                 "12", "1b:3", "duarte", "abc:1,2,3")
+]
+LANE_GRIDS = {1: [(9,), (2,)], 2: [(3, 4), (2, 3)], 3: [(3, 2, 4), (2, 3, 2)]}
+
+
+class TestClosureLanes:
+    @pytest.mark.parametrize("family", LANE_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_every_lane_matches_naive(self, family, boundary):
+        rule = make_rule(family)
+        for dims in LANE_GRIDS[family.dimension]:
+            grid = GridSpec(dims, boundary)
+            root = Stream((zlib.crc32(f"{family.name}/{boundary}/{dims}".encode()),))
+            # densities 0.05 .. 0.75 across lanes, so some lanes fill and some do not
+            occ = np.stack([
+                random_configuration(grid, 0.05 + 0.1 * (i % 8), root.child(i)).cells
+                for i in range(130)
+            ])
+            want = np.stack([closure_naive(Configuration(grid, o), rule).cells for o in occ])
+            for n in (1, 63, 64, 65, 130):
+                words = pack_lanes(occ[:n])
+                before = words.copy()
+                closed = closure_lanes(words, rule, grid.periodic)
+                assert np.array_equal(words, before)  # input left alone
+                assert np.array_equal(unpack_lanes(closed, n), want[:n])
+                assert not unpack_lanes(closed, 64 * len(closed))[n:].any()  # idle lanes
+
+    def test_batch_axes_and_single_word(self):
+        rule = make_rule(RuleFamily.one_two())
+        grid = GridSpec((5, 4))
+        occ = np.stack([random_configuration(grid, 0.4, Stream((3, i))).cells for i in range(192)])
+        words = pack_lanes(occ)
+        stacked = closure_lanes(words.reshape((3, 1) + grid.shape), rule)
+        assert np.array_equal(stacked.reshape(words.shape), closure_lanes(words, rule))
+        assert np.array_equal(closure_lanes(words[0], rule), closure_lanes(words, rule)[0])
+
+    def test_rejects_other_dtypes_and_shapes(self):
+        rule = make_rule(RuleFamily.standard(2))
+        with pytest.raises(ValueError):
+            closure_lanes(np.zeros((4, 4), dtype=np.int64), rule)
+        with pytest.raises(ValueError):
+            closure_lanes(np.zeros(4, dtype=np.uint64), rule)
+
+
+class TestWideStencils:
+    """Stencils with more than 255 offsets, whose neighbour counts do not
+    fit in a byte: one empty cell in the middle sees every offset occupied."""
+
+    @pytest.mark.parametrize(
+        "name,dims,hole",
+        [
+            ("1b:130", (300, 3), (150, 1)),     # 262 offsets, theta 131
+            ("abc:1,1,126", (3, 3, 253), (1, 1, 126)),  # 256 offsets, theta 128
+        ],
+    )
+    def test_one_hole_fills(self, name, dims, hole):
+        rule = make_rule(RuleFamily.parse(name))
+        assert len(rule.offsets) > 255
+        cfg = full_configuration(GridSpec(dims))
+        cfg.cells[tuple(reversed(hole))] = False
+        want = ref_closure(cfg, rule)
+        assert want.is_full()
+        assert closure_naive(cfg, rule) == want
+        assert closure_fast(cfg, rule) == want
+        assert step(cfg, rule)[1] == 1
+        lanes = closure_lanes(pack_lanes(cfg.cells[None]), rule)
+        assert np.array_equal(unpack_lanes(lanes, 1)[0], want.cells)
+
+    def test_random_configurations(self):
+        rule = make_rule(RuleFamily.one_b(130))
+        grid = GridSpec((300, 3))
+        occ = np.stack([
+            random_configuration(grid, 0.98, Stream((130, i))).cells for i in range(3)
+        ])
+        lanes = unpack_lanes(closure_lanes(pack_lanes(occ), rule), len(occ))
+        for o, got in zip(occ, lanes):
+            cfg = Configuration(grid, o)
+            want = ref_closure(cfg, rule)
+            assert closure_naive(cfg, rule) == want
+            assert closure_fast(cfg, rule) == want
+            assert np.array_equal(got, want.cells)
 
 
 class TestClosureProperties:
