@@ -27,10 +27,10 @@ from .rng import Stream, derive_seed
 from .rules import (
     Rule,
     RuleFamily,
+    closure_batch,
     closure_fast,
     closure_lanes,
     make_rule,
-    pack_lanes,
     unpack_lanes,
 )
 
@@ -38,8 +38,9 @@ _STREAM_DOMAIN = 0x66696C6C
 
 EXACT_MAX_CELLS = 20
 
-# Grids up to this many cells are closed 64 trials to a word by the lane
-# kernel; larger ones go through the queue closure one trial at a time.
+# Grids up to this many cells are closed in stacked batches, 64 trials to a
+# word of the lane kernel; larger ones go through the queue closure one
+# trial at a time.
 _BATCH_CELL_LIMIT = 4096
 
 
@@ -72,16 +73,18 @@ class SweepRow:
     seed: int
 
 
-def _chunk_size(cells: int) -> int:
-    """Trials a block: the block's grids hold about 2^16 words on the lane
-    path, 64 trials a word, and about 2^16 cells on the queue path."""
+def _chunk_size(cells: int, trials: int, threads: int) -> int:
+    """Trials a block.
+
+    On the batch path a block is whole 64-trial words of the lane kernel,
+    about 2^16 words, but no more words than ``trials / threads`` needs,
+    so a threaded run has a block for every thread.  On the queue path a
+    block holds about 2^16 cells.
+    """
     units = max(1, min(4096, (1 << 16) // max(cells, 1)))
-    return 64 * units if cells <= _BATCH_CELL_LIMIT else units
-
-
-def _full_lanes(closed: np.ndarray) -> np.ndarray:
-    """Per word, the lanes whose closure occupies every cell."""
-    return np.bitwise_and.reduce(closed.reshape(len(closed), -1), axis=1)
+    if cells > _BATCH_CELL_LIMIT:
+        return units
+    return 64 * min(units, -(-trials // (64 * max(threads, 1))))
 
 
 def _trial_block_successes(
@@ -89,20 +92,24 @@ def _trial_block_successes(
 ) -> int:
     """Number of filling trials among trial indices [start, start+m).
 
-    On the lane path trial ``start + j`` is lane ``j`` of word ``j // 64``.
-    Occupancy is drawn a power-of-two number of trials at a time, at most
-    2^16 cells, so that a draw either fills whole words or lies inside one."""
+    Uniforms are drawn about 2^16 at a time and thresholded into one
+    boolean stack, so a block of many small grids holds no large float
+    array."""
     cells = grid.cells
-    if cells > _BATCH_CELL_LIMIT:
-        occ = root.bernoulli_block(start, m, cells, p).reshape((m,) + grid.shape)
-        return sum(closure_fast(Configuration(grid, o), rule).is_full() for o in occ)
-    per_draw = 1 << (((1 << 16) // cells).bit_length() - 1)
-    lanes = np.zeros((-(-m // 64), cells), dtype=np.uint64)
+    occ = np.empty((m, cells), dtype=bool)
+    per_draw = max(1, (1 << 16) // cells)
     for s in range(0, m, per_draw):
-        part = pack_lanes(root.bernoulli_block(start + s, min(per_draw, m - s), cells, p))
-        lanes[s // 64 : s // 64 + len(part)] |= part << np.uint64(s % 64)
-    closed = closure_lanes(lanes.reshape((len(lanes),) + grid.shape), rule, grid.periodic)
-    return int(unpack_lanes(_full_lanes(closed), m).sum())
+        k = min(per_draw, m - s)
+        np.less(root.uniform_block(start + s, k, cells), p, out=occ[s : s + k])
+    occ = occ.reshape((m,) + grid.shape)
+    if cells <= _BATCH_CELL_LIMIT:
+        closed = closure_batch(occ, rule, periodic=grid.periodic)
+        return int(closed.reshape(m, -1).all(axis=1).sum())
+    successes = 0
+    for i in range(m):
+        cfg = Configuration(grid, occ[i])
+        successes += closure_fast(cfg, rule).is_full()
+    return successes
 
 
 def fill_probability(
@@ -119,7 +126,7 @@ def fill_probability(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     root = Stream((seed, _STREAM_DOMAIN))
-    chunk = _chunk_size(grid.cells)
+    chunk = _chunk_size(grid.cells, trials, threads)
     starts = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -158,6 +165,11 @@ def fill_success_counts(rule: Rule, grid: GridSpec) -> np.ndarray:
             k += (filling >> h) & 1
         counts += np.bincount(k, minlength=cells + 1)
     return counts
+
+
+def _full_lanes(closed: np.ndarray) -> np.ndarray:
+    """Per word, the lanes whose closure occupies every cell."""
+    return np.bitwise_and.reduce(closed.reshape(len(closed), -1), axis=1)
 
 
 def _subset_planes(first_word: int, n_words: int, cells: int) -> np.ndarray:

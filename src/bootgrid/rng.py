@@ -88,29 +88,10 @@ class Stream:
         which is what allows trial loops to be vectorised without changing
         any trial's numbers.
         """
-        bits = self._bits_block(first_child, n_children, count)
-        bits >>= np.uint64(11)
-        return bits * 2.0**-53
-
-    def bernoulli_block(
-        self, first_child: int, n_children: int, count: int, p: float
-    ) -> np.ndarray:
-        """``uniform_block(first_child, n_children, count) < p``, bit for bit,
-        without the float array.
-
-        A uniform is ``k * 2**-53`` for the integer ``k = bits >> 11``, and
-        ``p * 2**53`` is exact, so ``u < p`` holds exactly when
-        ``k < ceil(p * 2**53)``.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-        bits = self._bits_block(first_child, n_children, count)
-        bits >>= np.uint64(11)
-        return bits < np.uint64(np.ceil(p * 2.0**53))
-
-    def _bits_block(self, first_child: int, n_children: int, count: int) -> np.ndarray:
         base = np.uint64(_hash_key(self.key))
         kids = base ^ (np.arange(first_child, first_child + n_children, dtype=np.uint64))
         kid_hashes = _mix_array(kids)
         ctr = np.arange(count, dtype=np.uint64)
-        return _mix_array(kid_hashes[:, None] ^ ctr[None, :])
+        bits = _mix_array(kid_hashes[:, None] ^ ctr[None, :])
+        bits >>= np.uint64(11)
+        return bits * 2.0**-53

@@ -20,9 +20,9 @@ The closure (the fixed point of repeated stepping) is provided three ways:
   configuration per bit lane (multispin coding).  A synchronous step is
   a bit-sliced neighbour counter compared with ``theta`` in bit logic, or
   the per-axis OR/AND of the modified rule.  ``closure_batch`` packs a
-  stack of boolean grids into lanes and unpacks the result; Monte Carlo
-  trials and exact subset enumeration put their configurations in the
-  lanes directly.
+  stack of boolean grids into lanes and unpacks the result, for the
+  Monte Carlo trial blocks; exact subset enumeration builds its lanes
+  directly from the subset indices.
 
 All three agree bit for bit.  Neighbour counts use the narrowest unsigned
 type that holds the stencil size, so stencils of more than 255 offsets
@@ -467,18 +467,19 @@ def pack_lanes(bits: np.ndarray) -> np.ndarray:
     words of shape (ceil(n / 64), *grid shape): bit ``j`` of word ``w`` is
     grid ``64 w + j``.  Lanes past ``n`` are zero."""
     n, shape = bits.shape[0], bits.shape[1:]
-    words = -(-n // 64)
-    packed = np.zeros((words * 8, int(np.prod(shape))), dtype=np.uint8)
-    packed[: -(-n // 8)] = np.packbits(bits.reshape(n, -1), axis=0, bitorder="little")
-    lanes = packed.reshape(words, 8, -1).transpose(0, 2, 1).copy().view(np.uint64)
+    words, cells = -(-n // 64), int(np.prod(shape))
+    packed = np.zeros((words * 8, cells), dtype=np.uint8)
+    packed[: -(-n // 8)] = np.packbits(bits.reshape(n, cells), axis=0, bitorder="little")
+    lanes = packed.reshape(words, 8, cells).transpose(0, 2, 1).copy().view(np.uint64)
     return lanes.reshape((words,) + shape)
 
 
 def unpack_lanes(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`pack_lanes`: the first ``n`` grids as booleans."""
     count, shape = words.shape[0], words.shape[1:]
-    octets = np.ascontiguousarray(words).reshape(count, -1, 1).view(np.uint8)
-    octets = octets.transpose(0, 2, 1).reshape(count * 8, -1)
+    cells = int(np.prod(shape))
+    octets = np.ascontiguousarray(words).reshape(count, cells, 1).view(np.uint8)
+    octets = octets.transpose(0, 2, 1).reshape(count * 8, cells)
     bits = np.unpackbits(octets, axis=0, count=n, bitorder="little")
     return bits.view(bool).reshape((n,) + shape)
 
@@ -553,6 +554,8 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
             f"closure_lanes needs a uint64 array with at least {d} axes, "
             f"got {words.dtype} with shape {words.shape}"
         )
+    if words.size == 0:
+        return words.copy()
     lead = words.ndim - d
     offsets = rule.offsets if rule.kind == "threshold" else _axis_units(d)
     # numpy axis lead + k of the words is offset component d - 1 - k

@@ -85,32 +85,6 @@ class TestRandomConfiguration:
             assert not (lo.cells & ~hi.cells).any()
 
 
-class TestBernoulliBlock:
-    def test_matches_uniform_threshold_bit_for_bit(self):
-        root = Stream((31, 7))
-        u = root.uniform_block(5, 70, 300)
-        edges = [0.0, 2.0**-53, 0.5, float(np.nextafter(0.5, 1.0)), 1.0]
-        # p equal to a drawn uniform, and the next double above it, are the
-        # cases where u < p and k < ceil(p * 2^53) could part
-        edges += [float(u[3, 17]), float(np.nextafter(u[3, 17], 1.0))]
-        for p in edges:
-            got = root.bernoulli_block(5, 70, 300, p)
-            assert got.dtype == bool
-            assert np.array_equal(got, u < p), p
-
-    def test_rows_are_child_streams(self):
-        root = Stream(12)
-        block = root.bernoulli_block(3, 4, 50, 0.3)
-        for i in range(4):
-            assert np.array_equal(block[i], root.child(3 + i).uniforms(50) < 0.3)
-
-    def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            Stream(0).bernoulli_block(0, 2, 4, 1.5)
-        with pytest.raises(ValueError):
-            Stream(0).bernoulli_block(0, 2, 4, -0.1)
-
-
 class TestRect:
     def test_occupy_counting(self):
         cfg = empty_configuration(GridSpec((8, 8)))

@@ -87,9 +87,10 @@ class TestFillProbability:
             succ += closure_fast(cfg, STD2).is_full()
         assert est.mean == succ / 600
 
-    def test_lane_words_filled_by_several_draws(self):
-        # 1200 cells: occupancy is drawn 32 trials at a time, two draws to a
-        # word; 150 trials leave the third word partly idle.
+    def test_block_drawn_in_several_parts(self):
+        # 1200 cells: uniforms are drawn 54 trials at a time, so the one
+        # block of 150 trials takes three draws; its third lane word is
+        # partly idle.
         from bootgrid.montecarlo import _STREAM_DOMAIN
         from bootgrid.rules import closure_fast
 
@@ -108,9 +109,19 @@ class TestFillProbability:
 
         grid = GridSpec((7, 10))
         whole = fill_probability(STD2, grid, 0.35, 1000, seed=4)
-        monkeypatch.setattr(mc, "_chunk_size", lambda cells: 64)
+        monkeypatch.setattr(mc, "_chunk_size", lambda *args: 64)
         assert fill_probability(STD2, grid, 0.35, 1000, seed=4) == whole
         assert fill_probability(STD2, grid, 0.35, 1000, seed=4, threads=3) == whole
+
+    def test_threaded_runs_split_into_a_block_per_thread(self):
+        from bootgrid.montecarlo import _chunk_size
+
+        for cells, trials, threads in [(64, 5000, 4), (36, 2000, 3), (256, 2000, 8), (4096, 200, 2)]:
+            chunk = _chunk_size(cells, trials, threads)
+            assert chunk % 64 == 0
+            assert -(-trials // chunk) >= threads
+        assert _chunk_size(4096, 32, 1) == 64
+        assert _chunk_size(64, 5000, 0) == _chunk_size(64, 5000, 1)
 
     def test_queue_path_matches_per_trial_reconstruction(self):
         # 4900 cells exceeds the batch limit, exercising the per-trial

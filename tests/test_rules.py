@@ -258,6 +258,8 @@ class TestFastNaiveEquivalence:
             for i in range(32):
                 want = closure_naive(Configuration(grid, occ[i]), rule)
                 assert np.array_equal(closed[i], want.cells)
+            empty = closure_batch(occ[:0], rule, periodic=False)
+            assert empty.shape == (0,) + grid.shape and empty.dtype == bool
 
 
 # Every family, with each 2-d grid no wider than the 1b:3 reach (so b >= width)
