@@ -409,12 +409,22 @@ def _cmd_invert(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub, seed: bool = True) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _add_common(sub, seed: bool = True, formats: tuple[str, ...] = ("csv", "json")) -> None:
+    sub.add_argument("--format", choices=formats, default="csv")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=_default_threads(),
         help="worker threads (default $BOOTGRID_THREADS or 1); never changes results",
     )
@@ -439,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("close", help="closure of a configuration file")
     sp.add_argument("--rule", required=True)
     sp.add_argument("--in", dest="infile", required=True, help="input path or - for stdin")
-    _add_common(sp, seed=False)
+    # The output is lattice text behind '#' manifest lines; there is no JSON form.
+    _add_common(sp, seed=False, formats=("csv",))
     sp.set_defaults(func=_cmd_close)
 
     sp = subs.add_parser("fill", help="fill probability at given densities")

@@ -7,6 +7,22 @@ axis.  Internally a configuration is a boolean numpy array indexed
 
 Boundary handling is a property of the grid: ``open`` means cells outside
 the grid are permanently empty, ``periodic`` means all axes wrap.
+
+Text format (:func:`to_text` writes it, :func:`from_text` reads it).  The
+input is split into lines with ``str.splitlines``.  Lines starting with
+``#`` are ignored anywhere.  What remains is:
+
+    dims: Lx [Ly [Lz]]       side lengths, whitespace-separated integers
+    boundary: open|periodic  surrounding whitespace is ignored
+    <body>
+
+The body holds ``Ly * Lz`` rows (``Ly = Lz = 1`` where the axis is
+absent), in order of increasing ``y``, then increasing ``z``.  Each row
+is exactly ``Lx`` characters ``0`` (empty) or ``1`` (occupied), in order
+of increasing ``x``.  Blank and whitespace-only lines in the body are
+ignored; any other character in a row is an error.  On output every line
+ends with ``\\n``, and in 3-D one blank line separates consecutive
+z-blocks.
 """
 
 from __future__ import annotations
@@ -187,33 +203,22 @@ def checkerboard_rect(config: Configuration, rect: Rect, parity: str) -> Configu
 
 
 def to_text(config: Configuration) -> str:
-    """Render in the row-of-0/1-characters text format (round-trip exact)."""
+    """Render in the lattice text format (round-trip exact with :func:`from_text`)."""
     grid = config.grid
-    lines = [
-        "dims: " + " ".join(str(d) for d in grid.dims),
-        f"boundary: {grid.boundary}",
-    ]
-    arr = config.cells.astype(np.uint8)
-    if grid.ndim == 1:
-        lines.append("".join("1" if v else "0" for v in arr))
-    elif grid.ndim == 2:
-        for row in arr:
-            lines.append("".join("1" if v else "0" for v in row))
-    else:
-        for zi, block in enumerate(arr):
-            if zi:
-                lines.append("")
-            for row in block:
-                lines.append("".join("1" if v else "0" for v in row))
-    return "\n".join(lines) + "\n"
+    lz, ly, lx = (1, 1, *grid.shape)[-3:]
+    # One byte row per z-block: its y-rows, each "0"/"1" bytes plus "\n",
+    # then one "\n" that is the blank line between blocks.  The last
+    # block's trailing "\n" is dropped.
+    buf = np.full((lz, ly * (lx + 1) + 1), ord("\n"), dtype=np.uint8)
+    digits = buf[:, :-1].reshape(lz, ly, lx + 1)[..., :lx]
+    digits[...] = config.cells.reshape(lz, ly, lx)
+    digits += ord("0")
+    header = f"dims: {' '.join(str(d) for d in grid.dims)}\nboundary: {grid.boundary}\n"
+    return header + buf.reshape(-1)[:-1].tobytes().decode("ascii")
 
 
 def from_text(text: str) -> Configuration:
-    """Parse the text format produced by :func:`to_text`.
-
-    Lines starting with ``#`` are ignored so files carrying a metadata
-    preamble stay readable.
-    """
+    """Parse the lattice text format (see the module docstring)."""
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
     lines = [ln for ln in lines if not ln.startswith("#")]
     if len(lines) < 2 or not lines[0].startswith("dims:"):
@@ -224,19 +229,15 @@ def from_text(text: str) -> Configuration:
     boundary = lines[1][len("boundary:") :].strip()
     grid = GridSpec(dims, boundary)
 
-    body = lines[2:]
-    rows: list[list[int]] = []
-    for ln in body:
-        if ln.strip() == "":
-            continue
-        if set(ln) - {"0", "1"}:
+    rows = [ln for ln in lines[2:] if ln.strip()]
+    for ln in rows:
+        if ln.strip("01"):
             raise ValueError(f"invalid row characters in {ln!r}")
-        rows.append([1 if ch == "1" else 0 for ch in ln])
 
     lx = dims[0]
     ly = dims[1] if grid.ndim >= 2 else 1
     lz = dims[2] if grid.ndim == 3 else 1
     if len(rows) != ly * lz or any(len(r) != lx for r in rows):
         raise ValueError(f"body does not match dims {dims}")
-    arr = np.array(rows, dtype=bool).reshape(grid.shape)
-    return Configuration(grid, arr)
+    cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) == ord("1")
+    return Configuration(grid, cells.reshape(grid.shape))

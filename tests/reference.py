@@ -6,7 +6,9 @@ no numpy tricks shared with the production code.
 
 from __future__ import annotations
 
-from bootgrid import Configuration, Rule
+import numpy as np
+
+from bootgrid import Configuration, GridSpec, Rule
 
 
 def ref_count_occupied(config: Configuration) -> int:
@@ -76,3 +78,59 @@ def ref_closure(config: Configuration, rule: Rule) -> Configuration:
         if nxt == current:
             return nxt
         current = nxt
+
+
+def ref_to_text(config: Configuration) -> str:
+    """Render in the row-of-0/1-characters text format (round-trip exact)."""
+    grid = config.grid
+    lines = [
+        "dims: " + " ".join(str(d) for d in grid.dims),
+        f"boundary: {grid.boundary}",
+    ]
+    arr = config.cells.astype(np.uint8)
+    if grid.ndim == 1:
+        lines.append("".join("1" if v else "0" for v in arr))
+    elif grid.ndim == 2:
+        for row in arr:
+            lines.append("".join("1" if v else "0" for v in row))
+    else:
+        for zi, block in enumerate(arr):
+            if zi:
+                lines.append("")
+            for row in block:
+                lines.append("".join("1" if v else "0" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def ref_from_text(text: str) -> Configuration:
+    """Parse the text format produced by :func:`ref_to_text`.
+
+    Lines starting with ``#`` are ignored so files carrying a metadata
+    preamble stay readable.
+    """
+    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    lines = [ln for ln in lines if not ln.startswith("#")]
+    if len(lines) < 2 or not lines[0].startswith("dims:"):
+        raise ValueError("expected a 'dims: ...' header line")
+    dims = tuple(int(tok) for tok in lines[0][len("dims:") :].split())
+    if not lines[1].startswith("boundary:"):
+        raise ValueError("expected a 'boundary: ...' header line")
+    boundary = lines[1][len("boundary:") :].strip()
+    grid = GridSpec(dims, boundary)
+
+    body = lines[2:]
+    rows: list[list[int]] = []
+    for ln in body:
+        if ln.strip() == "":
+            continue
+        if set(ln) - {"0", "1"}:
+            raise ValueError(f"invalid row characters in {ln!r}")
+        rows.append([1 if ch == "1" else 0 for ch in ln])
+
+    lx = dims[0]
+    ly = dims[1] if grid.ndim >= 2 else 1
+    lz = dims[2] if grid.ndim == 3 else 1
+    if len(rows) != ly * lz or any(len(r) != lx for r in rows):
+        raise ValueError(f"body does not match dims {dims}")
+    arr = np.array(rows, dtype=bool).reshape(grid.shape)
+    return Configuration(grid, arr)

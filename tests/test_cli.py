@@ -186,6 +186,30 @@ class TestExitCodes:
         assert "p_tolerance must lie strictly between 0 and 1" in err
         assert out == ""
 
+    def test_close_refuses_json_format(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("dims: 3 1\nboundary: open\n010\n")
+        code, out, err = run_cli(capsys, "close", "--rule", "12", "--in", str(src),
+                                 "--format", "json")
+        assert code == 2
+        assert "--format" in err and out == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_close_refuses_thread_count_not_positive(self, tmp_path, capsys, threads):
+        src = tmp_path / "in.txt"
+        src.write_text("dims: 3 1\nboundary: open\n010\n")
+        code, out, err = run_cli(capsys, "close", "--rule", "12", "--in", str(src),
+                                 "--threads", threads)
+        assert code == 2
+        assert "--threads" in err and out == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_fill_refuses_thread_count_not_positive(self, capsys, threads):
+        code, out, err = run_cli(capsys, "fill", "--rule", "standard2", "--L", "4",
+                                 "--p", "0.5", "--trials", "10", "--threads", threads)
+        assert code == 2
+        assert "--threads" in err and out == ""
+
     def test_missing_grid_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, "fill", "--rule", "standard2", "--p", "0.5")
         assert code == 1

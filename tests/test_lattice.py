@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootgrid import (
     Configuration,
@@ -14,7 +16,7 @@ from bootgrid import (
     random_configuration,
     to_text,
 )
-from reference import ref_count_occupied
+from reference import ref_count_occupied, ref_from_text, ref_to_text
 
 
 class TestGridSpec:
@@ -193,6 +195,125 @@ class TestTextFormat:
             from_text("boundary: open\n01\n")
         with pytest.raises(ValueError):
             from_text("dims: 2 2\nboundary: open\n01\n")
+
+
+def _parse_outcome(parse, text):
+    """The configuration ``parse`` returns, or the ValueError message it raises."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_parses_like_reference(text):
+    got = _parse_outcome(from_text, text)
+    want = _parse_outcome(ref_from_text, text)
+    assert got == want
+    if isinstance(got, Configuration):
+        assert got.cells.flags.writeable
+
+
+_ROWS_3x2 = "dims: 3 2\nboundary: open\n"
+_ROWS_2x2x2 = "dims: 2 2 2\nboundary: periodic\n"
+
+
+class TestTextFormatOracle:
+    """The array codec against the per-character codec in tests/reference.py."""
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize(
+        "dims",
+        [(1,), (9,), (1, 1), (1, 5), (5, 1), (7, 4), (1, 1, 1), (3, 2, 4), (1, 3, 2), (4, 1, 3)],
+    )
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_render_and_parse_match_reference(self, dims, boundary, p):
+        cfg = random_configuration(GridSpec(dims, boundary), p, Stream((*dims, 5)))
+        text = to_text(cfg)
+        assert text == ref_to_text(cfg)
+        assert from_text(text) == ref_from_text(text) == cfg
+        _assert_parses_like_reference(text.replace("\n", "\r\n"))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "010\n111\n",
+            "010\r\n111\r\n",
+            "010\r111\r",
+            "\n010\n  \n\t\n111\n\n",
+            "010\n# a comment inside the body\n111\n",
+            "#010\n010\n111\n",
+            "010 \n111\n",
+            " 010\n111\n",
+            "010\n121\n",
+            "010\n1\u06611\n",
+            "010\n1x1\n",
+            "010\n1\x0c11\n",
+            "010\x0c111\n",
+            "010\x0b111\n",
+            "010\u2028111\n",
+            "010\x85111\n",
+            "010\n\u3000\n111\n",
+            "01\n111\n",
+            "0101\n111\n",
+            "010\n",
+            "010\n111\n000\n",
+            "",
+            "010111\n",
+            "01\n11\n0x\n",
+            "0101\n0x\n",
+        ],
+    )
+    def test_parse_matches_reference_2d(self, body):
+        _assert_parses_like_reference(_ROWS_3x2 + body)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "dims: 3\n",
+            "boundary: open\n01\n",
+            "dims: 3\nboundary: open\n010",
+            "dims: 3\nboundary: open\n0100\n",
+            "dims: 3\nboundary: sideways\n010\n",
+            "dims: 3\nboundary:   periodic  \n101\n",
+            "# preamble\r\ndims: 3\r\n# between\r\nboundary: open\r\n101\r\n",
+            "\ndims: 3\nboundary: open\n101\n",
+            "dims: x\nboundary: open\n101\n",
+            "dims: 0\nboundary: open\n\n",
+            "dims: 1 2 3 4\nboundary: open\n0\n",
+        ],
+    )
+    def test_parse_matches_reference_headers_and_1d(self, text):
+        _assert_parses_like_reference(text)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "01\n10\n\n11\n00\n",
+            "01\n10\n11\n00\n",
+            "01\n10\n\n\n\n11\n00\n",
+            "01\n10\n\n11\n",
+            "01\n10\n\n11\n00\n\n01\n",
+            "01\n10\n \n11\n0\n",
+        ],
+    )
+    def test_parse_matches_reference_3d(self, body):
+        _assert_parses_like_reference(_ROWS_2x2x2 + body)
+
+    def test_seeded_2048_round_trip(self):
+        cfg = random_configuration(GridSpec((2048, 2048)), 0.05, Stream(2048))
+        text = to_text(cfg)
+        assert text == ref_to_text(cfg)
+        assert len(text) == len("dims: 2048 2048\nboundary: open\n") + 2048 * 2049
+        assert from_text(text) == cfg == ref_from_text(text)
+
+    @given(
+        st.text(alphabet="01 2\t\r\n\x0c#\u2028", max_size=40),
+        st.sampled_from([_ROWS_3x2, _ROWS_2x2x2, "dims: 4\nboundary: open\n"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_reference_on_random_bodies(self, body, header):
+        _assert_parses_like_reference(header + body)
 
 
 class TestConfiguration:
