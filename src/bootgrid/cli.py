@@ -116,7 +116,10 @@ def _emit_text(args, manifest: RunManifest, text: str) -> None:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
+    return values
 
 
 def _int_list(text: str) -> list[int]:
@@ -304,9 +307,16 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_growth(args) -> int:
     spec = GrowthEventSpec(args.event, args.size)
+    p_list = _float_list(args.p)
+    # Refuse bad Monte Carlo input before the exact enumeration, which can take seconds.
+    for p in p_list:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     poly = growth_polynomial(spec)
     rows = []
-    for p in _float_list(args.p):
+    for p in p_list:
         est = estimate_growth_mc(spec, p, args.trials, args.seed)
         rows.append(
             {

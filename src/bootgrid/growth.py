@@ -10,13 +10,17 @@ Carlo:
   rows of x random helper cells each.  The event is that the closure
   occupies the whole first helper row.
 
-Exact probabilities come from exhaustive enumeration of every helper
-configuration.  The enumerator simulates 64 configurations per machine
-word: each helper cell becomes a bitplane over configurations and the
-update rule is evaluated with bitwise arithmetic.  Closed around a full
-rectangle, the dynamics never leave the helper region, so only helper
-cells need planes; the rectangle contributes fixed neighbour counts.
-Tests check the reduced dynamics against full-grid closures cell by cell.
+Each event is laid out once, by :meth:`GrowthEventSpec.layout`, as a small
+open grid for rule ``12`` with three sets of cells: the rectangle cells
+that touch the helpers, held occupied; the random helper cells; and the
+target cells the event asks to be occupied.  Rectangle cells that touch
+no helper cannot change the closure, so the grid leaves them out.
+
+Exact probabilities enumerate every helper configuration with
+:func:`bootgrid.montecarlo.subset_success_counts`, 64 configurations to a
+word of the shared lane kernel ``rules.closure_lanes``.  Monte Carlo
+closes a stack of trials of the same grid with ``rules.closure_batch``.
+Tests check both against full-grid closures by ``closure_naive``.
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ from math import comb, exp, expm1, log1p
 
 import numpy as np
 
-from .montecarlo import Estimate
+from .lattice import GridSpec
+from .montecarlo import Estimate, subset_success_counts
 from .rng import Stream
+from .rules import RuleFamily, closure_batch, make_rule
 
 COLUMN_MAX_HEIGHT = 20
 ROW_MAX_WIDTH = 12
 
+_ONE_TWO = make_rule(RuleFamily.one_two())
 _STREAM_DOMAIN = 0x67726F77  # distinct from the fill-probability domain
 
 
@@ -56,6 +63,24 @@ class GrowthEventSpec:
     @property
     def helper_cells(self) -> int:
         return self.size * self.helper_depth
+
+    def layout(self) -> tuple[GridSpec, np.ndarray, np.ndarray]:
+        """The event as ``(grid, helpers, targets)`` for rule ``12``.
+
+        ``helpers[h]`` is the flat index of helper cell ``h`` and
+        ``targets`` the flat indices the event needs occupied; every other
+        cell is a rectangle cell, held occupied.  ``north_rows``: an
+        x-by-3 grid, row 0 the rectangle's top row, helper ``h`` at row
+        ``1 + h // x``, column ``h % x``, the targets row 1.
+        ``east_column``: a 3-by-n grid, columns 0 and 1 the rectangle,
+        helper ``h`` at column 2, row ``h``, the targets all helpers.
+        """
+        if self.direction == "north_rows":
+            x = self.size
+            helpers = x + np.arange(2 * x)
+            return GridSpec((x, 3)), helpers, helpers[:x]
+        helpers = 3 * np.arange(self.size) + 2
+        return GridSpec((3, self.size)), helpers, helpers
 
 
 @dataclass(frozen=True)
@@ -99,135 +124,11 @@ def _counts_to_polynomial(success_by_k: np.ndarray, m: int) -> GrowthPolynomial:
     return GrowthPolynomial(tuple(Fraction(c) for c in coeffs))
 
 
-# ---------------------------------------------------------------------------
-# Bit-parallel helper-region dynamics (64 configurations per uint64 word)
-# ---------------------------------------------------------------------------
-
-
-def _ge2_of5(a, b, c, d, e):
-    s1 = a ^ b
-    c1 = a & b
-    s2 = c ^ d
-    c2 = c & d
-    return c1 | c2 | (s1 & s2) | (e & (s1 | s2))
-
-
-def _ge3_of5(a, b, c, d, e):
-    ab = a ^ b
-    t1 = (a & b) | (c & ab)
-    s1 = ab ^ c
-    sd = s1 ^ d
-    t2 = (s1 & d) | (e & sd)
-    s2 = sd ^ e
-    return (t1 & t2) | (s2 & (t1 | t2))
-
-
-def _col_neighbour(planes: np.ndarray, shift: int) -> np.ndarray:
-    """Neighbour plane at column index + shift, zero outside the strip.
-    ``planes`` is (..., columns, words)."""
-    out = np.zeros_like(planes)
-    if shift > 0:
-        out[..., :-shift, :] = planes[..., shift:, :]
-    elif shift < 0:
-        out[..., -shift:, :] = planes[..., :shift, :]
-    return out
-
-
-def _index_bitplanes(idx: np.ndarray, n_cells: int) -> np.ndarray:
-    """Plane h holds bit h of every configuration index, packed 64 per word."""
-    words = idx.size // 64
-    planes = np.empty((n_cells, words), dtype=np.uint64)
-    for h in range(n_cells):
-        bits = ((idx >> np.uint32(h)) & np.uint32(1)).astype(np.uint8)
-        planes[h] = np.packbits(bits, bitorder="little").view(np.uint64)
-    return planes
-
-
-def _plane_to_bool(plane: np.ndarray) -> np.ndarray:
-    return np.unpackbits(plane.view(np.uint8), bitorder="little").astype(bool)
-
-
-def _popcount_u32(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint32)
-    v = v - ((v >> np.uint32(1)) & np.uint32(0x55555555))
-    v = (v & np.uint32(0x33333333)) + ((v >> np.uint32(2)) & np.uint32(0x33333333))
-    v = (v + (v >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    return ((v * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int64)
-
-
-def _run_column_planes(planes: np.ndarray) -> np.ndarray:
-    """Helper-column dynamics, planes shaped (n, words).
-
-    Every helper cell has both west neighbours inside the full rectangle,
-    so under the (1,2) threshold it turns occupied as soon as one of its
-    in-column neighbours is occupied: plain nearest-neighbour spreading.
-    Returns the all-cells-occupied plane.
-    """
-    p = planes.copy()
-    n = p.shape[0]
-    while True:
-        grown = p.copy()
-        grown[:-1] |= p[1:]
-        grown[1:] |= p[:-1]
-        if not (grown ^ p).any():
-            break
-        p = grown
-    full = p[0].copy()
-    for i in range(1, n):
-        full &= p[i]
-    return full
-
-
-def _run_row_planes(planes: np.ndarray) -> np.ndarray:
-    """Two-helper-row dynamics, planes shaped (2, x, words).
-
-    Row 0 is the first row north of the full rectangle: its south
-    neighbour is always occupied, so the threshold-3 rule fires on >= 2 of
-    {W1, W2, E1, E2, N}.  Row 1 has nothing above it and fires on >= 3 of
-    {W1, W2, E1, E2, S}.  Returns the row-0-full plane.
-    """
-    p = planes.copy()
-    x = p.shape[1]
-    while True:
-        e1 = _col_neighbour(p, 1)
-        w1 = _col_neighbour(p, -1)
-        e2 = _col_neighbour(p, 2)
-        w2 = _col_neighbour(p, -2)
-        pred0 = _ge2_of5(w1[0], e1[0], w2[0], e2[0], p[1])
-        pred1 = _ge3_of5(w1[1], e1[1], w2[1], e2[1], p[0])
-        new0 = p[0] | pred0
-        new1 = p[1] | pred1
-        if not ((new0 ^ p[0]).any() or (new1 ^ p[1]).any()):
-            break
-        p[0] = new0
-        p[1] = new1
-    full = p[0, 0].copy()
-    for c in range(1, x):
-        full &= p[0, c]
-    return full
-
-
-def _enumerate_success_counts(spec: GrowthEventSpec, chunk_bits: int = 24) -> np.ndarray:
+def _success_counts(spec: GrowthEventSpec) -> np.ndarray:
     """success_by_k[k] = number of k-cell helper subsets whose closure
     realises the growth event.  Exhaustive over all 2^cells subsets."""
-    n_cells = spec.helper_cells
-    total = 1 << n_cells
-    chunk = 1 << chunk_bits
-    out = np.zeros(n_cells + 1, dtype=np.int64)
-    for base in range(0, total, chunk):
-        idx = np.arange(base, min(base + chunk, total), dtype=np.uint32)
-        valid = idx.size
-        pad = (-valid) % 64
-        padded = np.concatenate([idx, np.zeros(pad, dtype=np.uint32)]) if pad else idx
-        planes = _index_bitplanes(padded, n_cells)
-        if spec.direction == "east_column":
-            full = _run_column_planes(planes)
-        else:
-            full = _run_row_planes(planes.reshape(2, spec.size, -1))
-        succ = _plane_to_bool(full)[:valid]
-        k = _popcount_u32(idx)
-        out += np.bincount(k[succ], minlength=n_cells + 1)
-    return out
+    grid, helpers, targets = spec.layout()
+    return subset_success_counts(_ONE_TWO, grid, helpers, targets)
 
 
 def column_growth_polynomial(n: int) -> GrowthPolynomial:
@@ -235,7 +136,7 @@ def column_growth_polynomial(n: int) -> GrowthPolynomial:
     east helper column, as a polynomial in p.  Equals 1 - (1-p)^n."""
     if not 1 <= n <= COLUMN_MAX_HEIGHT:
         raise ValueError(f"column enumeration supports 1 <= n <= {COLUMN_MAX_HEIGHT}, got {n}")
-    counts = _enumerate_success_counts(GrowthEventSpec("east_column", n))
+    counts = _success_counts(GrowthEventSpec("east_column", n))
     return _counts_to_polynomial(counts, n)
 
 
@@ -244,7 +145,7 @@ def row_growth_polynomial(x: int) -> GrowthPolynomial:
     its full first north helper row, as a polynomial in p."""
     if not 1 <= x <= ROW_MAX_WIDTH:
         raise ValueError(f"row enumeration supports 1 <= x <= {ROW_MAX_WIDTH}, got {x}")
-    counts = _enumerate_success_counts(GrowthEventSpec("north_rows", x))
+    counts = _success_counts(GrowthEventSpec("north_rows", x))
     return _counts_to_polynomial(counts, 2 * x)
 
 
@@ -265,28 +166,16 @@ def estimate_growth_mc(spec: GrowthEventSpec, p: float, trials: int, seed: int) 
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n_cells = spec.helper_cells
+    grid, helpers, targets = spec.layout()
     root = Stream((seed, _STREAM_DOMAIN))
     successes = 0
     chunk = 1 << 16
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        u = root.uniform_block(start, m, n_cells)
-        occ = u < p
-        pad = (-m) % 64
-        if pad:
-            occ = np.vstack([occ, np.zeros((pad, n_cells), dtype=bool)])
-        planes = np.empty((n_cells, occ.shape[0] // 64), dtype=np.uint64)
-        for h in range(n_cells):
-            planes[h] = np.packbits(occ[:, h], bitorder="little").view(np.uint64)
-        if spec.direction == "east_column":
-            full = _run_column_planes(planes)
-        else:
-            full = _run_row_planes(planes.reshape(2, spec.size, -1))
-        succ = _plane_to_bool(full)[: occ.shape[0]]
-        if pad:
-            succ = succ[:-pad]
-        successes += int(succ[:m].sum())
+        occ = np.ones((m, grid.cells), dtype=bool)
+        occ[:, helpers] = root.uniform_block(start, m, len(helpers)) < p
+        closed = closure_batch(occ.reshape((m,) + grid.shape), _ONE_TWO)
+        successes += int(closed.reshape(m, -1)[:, targets].all(axis=1).sum())
     mean = successes / trials
     stderr = (mean * (1.0 - mean) / trials) ** 0.5
     return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)

@@ -151,40 +151,54 @@ def fill_success_counts(rule: Rule, grid: GridSpec) -> np.ndarray:
     cells = grid.cells
     if cells > EXACT_MAX_CELLS:
         raise ValueError(f"exact enumeration supports at most {EXACT_MAX_CELLS} cells, got {cells}")
-    total = 1 << cells
-    words = max(1, total // 64)
-    chunk = min(words, 1 << 12)
-    live = min(total, 64 * chunk)
-    counts = np.zeros(cells + 1, dtype=np.int64)
-    for first in range(0, words, chunk):
-        planes = _subset_planes(first, chunk, cells)
-        closed = closure_lanes(planes.reshape((chunk,) + grid.shape), rule, grid.periodic)
-        filling = np.flatnonzero(unpack_lanes(_full_lanes(closed), live)) + 64 * first
-        k = np.zeros(filling.size, dtype=np.int64)
-        for h in range(cells):
-            k += (filling >> h) & 1
-        counts += np.bincount(k, minlength=cells + 1)
+    every = np.arange(cells)
+    return subset_success_counts(rule, grid, every, every)
+
+
+def subset_success_counts(
+    rule: Rule, grid: GridSpec, free: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """counts[k] = number of k-cell subsets of the ``free`` cells whose
+    closure, with every other cell held occupied, occupies every ``target``
+    cell.
+
+    ``free`` and ``target`` are flat cell indices; free cell ``free[h]``
+    corresponds to bit ``h`` of the subset index.  Exhaustive over all
+    2^len(free) subsets, 64 to a word of :func:`closure_lanes`.
+    """
+    m = len(free)
+    words = max(1, (1 << m) // 64)
+    # A block is a power of two of words, about 2^14 words over all its
+    # cells.  The word count is a power of two too, so whole blocks tile
+    # the 2^m subsets exactly and no block runs past the last one.
+    block = min(words, 1 << max(0, ((1 << 14) // grid.cells).bit_length() - 1))
+    live = min(1 << m, 64 * block)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for first in range(0, words, block):
+        planes = _subset_planes(first, block, grid.cells, free)
+        closed = closure_lanes(planes.reshape((block,) + grid.shape), rule, grid.periodic)
+        hits = np.bitwise_and.reduce(closed.reshape(block, -1)[:, target], axis=1)
+        subsets = np.flatnonzero(unpack_lanes(hits, live)) + 64 * first
+        k = np.zeros(subsets.size, dtype=np.int64)
+        for h in range(m):
+            k += (subsets >> h) & 1
+        counts += np.bincount(k, minlength=m + 1)
     return counts
 
 
-def _full_lanes(closed: np.ndarray) -> np.ndarray:
-    """Per word, the lanes whose closure occupies every cell."""
-    return np.bitwise_and.reduce(closed.reshape(len(closed), -1), axis=1)
-
-
-def _subset_planes(first_word: int, n_words: int, cells: int) -> np.ndarray:
-    """Subset ``64 g + j`` of the cells as lane ``j`` of word ``g``, for
-    words ``first_word`` on: cell ``h`` holds bit ``h`` of the subset
-    index.  Below bit 6 that bit depends on the lane only, a constant
-    word; from bit 6 on it depends on the word only, so the word is all
-    ones or all zeros."""
+def _subset_planes(first_word: int, n_words: int, cells: int, free: np.ndarray) -> np.ndarray:
+    """Subset ``64 g + j`` of the free cells as lane ``j`` of word ``g``,
+    for words ``first_word`` on, every other cell occupied in every lane:
+    free cell ``h`` holds bit ``h`` of the subset index.  Below bit 6 that
+    bit depends on the lane only, a constant word; from bit 6 on it
+    depends on the word only, so the word is all ones or all zeros."""
     g = np.arange(first_word, first_word + n_words, dtype=np.uint64)
-    planes = np.empty((n_words, cells), dtype=np.uint64)
-    for h in range(cells):
+    planes = np.full((n_words, cells), ~np.uint64(0))
+    for h, cell in enumerate(free):
         if h < 6:
-            planes[:, h] = sum(1 << j for j in range(64) if j >> h & 1)
+            planes[:, cell] = sum(1 << j for j in range(64) if j >> h & 1)
         else:
-            planes[:, h] = np.uint64(0) - ((g >> np.uint64(h - 6)) & np.uint64(1))
+            planes[:, cell] = np.uint64(0) - ((g >> np.uint64(h - 6)) & np.uint64(1))
     return planes
 
 

@@ -21,8 +21,9 @@ The closure (the fixed point of repeated stepping) is provided three ways:
   a bit-sliced neighbour counter compared with ``theta`` in bit logic, or
   the per-axis OR/AND of the modified rule.  ``closure_batch`` packs a
   stack of boolean grids into lanes and unpacks the result, for the
-  Monte Carlo trial blocks; exact subset enumeration builds its lanes
-  directly from the subset indices.
+  Monte Carlo trial blocks of fill estimates and of the growth events;
+  exact subset enumeration (``fill_success_counts`` and the exact growth
+  polynomials) builds its lanes directly from the subset indices.
 
 All three agree bit for bit.  Neighbour counts use the narrowest unsigned
 type that holds the stencil size, so stencils of more than 255 offsets

@@ -210,6 +210,40 @@ class TestExitCodes:
         assert code == 2
         assert "--threads" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--p", "1.5"], "p must lie in [0, 1]"),
+            (["--p", "-0.1"], "p must lie in [0, 1]"),
+            (["--p", "0.1,nan"], "p must lie in [0, 1]"),
+            (["--p", "0.1", "--trials", "0"], "trials must be >= 1"),
+        ],
+    )
+    def test_growth_refuses_bad_input_before_enumerating(self, monkeypatch, capsys, args, message):
+        def enumerate_anyway(spec):
+            raise AssertionError("growth_polynomial ran before the input was checked")
+
+        monkeypatch.setattr("bootgrid.cli.growth_polynomial", enumerate_anyway)
+        code, out, err = run_cli(capsys, "growth", "--event", "north_rows", "--size", "12",
+                                 *args)
+        assert code == 1
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fill", "--rule", "standard2", "--L", "4", "--trials", "10"],
+            ["growth", "--event", "east_column", "--size", "3", "--trials", "10"],
+            ["sweep", "--rule", "standard2", "--L", "4", "--trials", "10"],
+        ],
+        ids=["fill", "growth", "sweep"],
+    )
+    @pytest.mark.parametrize("p", [",", "", " , "])
+    def test_empty_p_list_is_runtime_error(self, capsys, argv, p):
+        code, out, err = run_cli(capsys, *argv, "--p", p)
+        assert code == 1
+        assert "expected a comma-separated list of numbers" in err and out == ""
+
     def test_missing_grid_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, "fill", "--rule", "standard2", "--p", "0.5")
         assert code == 1

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb, e
 
+import numpy as np
 import pytest
 
 from bootgrid import (
@@ -8,6 +9,7 @@ from bootgrid import (
     GrowthEventSpec,
     Rect,
     RuleFamily,
+    closure_batch,
     closure_naive,
     column_growth_polynomial,
     empty_configuration,
@@ -44,11 +46,27 @@ def row_event_by_closure(x: int, helper_bits: int) -> bool:
     return all(closed.get((c, 2)) for c in range(x))
 
 
+def row_events_by_batch_closure(x: int) -> np.ndarray:
+    """Batch oracle on the geometry of :func:`row_event_by_closure`: entry
+    ``bits`` is the event for every one of the 2^(2x) helper configurations."""
+    bits = np.arange(1 << (2 * x))
+    occ = np.zeros((bits.size, 4, x), dtype=bool)  # [config, y, x]
+    occ[:, :2, :] = True
+    for h in range(2 * x):
+        occ[:, 2 + h // x, h % x] = (bits >> h) & 1
+    return closure_batch(occ, ONE_TWO)[:, 2, :].all(axis=1)
+
+
 def polynomial_from_oracle(event, cells: int):
     counts = [0] * (cells + 1)
     for bits in range(1 << cells):
         if event(bits):
             counts[bin(bits).count("1")] += 1
+    return polynomial_from_counts(counts)
+
+
+def polynomial_from_counts(counts):
+    cells = len(counts) - 1
     coeffs = [0] * (cells + 1)
     for k, ck in enumerate(counts):
         for j in range(cells - k + 1):
@@ -76,7 +94,7 @@ class TestColumnPolynomial:
     def test_n3_at_half(self):
         assert column_growth_polynomial(3).evaluate(0.5) == pytest.approx(0.875, abs=1e-12)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_matches_one_minus_qn(self, n):
         # coefficient-level identity with the binomial expansion of 1-(1-p)^n
         poly = column_growth_polynomial(n)
@@ -104,6 +122,16 @@ class TestRowPolynomial:
         got = row_growth_polynomial(x)
         want = polynomial_from_oracle(lambda bits: row_event_by_closure(x, bits), 2 * x)
         assert list(got.coeffs) == want
+
+    def test_x8_matches_batch_closure_oracle(self):
+        # 2^16 helper configurations: several enumeration blocks.
+        events = row_events_by_batch_closure(8)
+        counts = np.bincount([bin(b).count("1") for b in np.flatnonzero(events)], minlength=17)
+        assert list(row_growth_polynomial(8).coeffs) == polynomial_from_counts(counts.tolist())
+
+    def test_batch_oracle_agrees_with_naive_oracle(self):
+        events = row_events_by_batch_closure(3)
+        assert events.tolist() == [row_event_by_closure(3, b) for b in range(1 << 6)]
 
     def test_empty_helpers_never_fill(self):
         for x in range(1, 5):
