@@ -122,6 +122,19 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _mc_p_list(text: str, trials: int) -> list[float]:
+    """The ``--p`` list of a Monte Carlo subcommand.  Every value and the
+    trial count are checked here, before any estimate runs, so a bad value
+    late in the list is refused at once rather than after the others."""
+    p_list = _float_list(text)
+    for p in p_list:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return p_list
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -188,7 +201,7 @@ def _cmd_fill(args) -> int:
     dims = _dims_for(args, family)
     grid = GridSpec(dims, args.boundary)
     rows = []
-    for p in _float_list(args.p):
+    for p in _mc_p_list(args.p, args.trials):
         est = fill_probability(rule, grid, p, args.trials, args.seed, args.threads)
         rows.append(
             {
@@ -267,7 +280,7 @@ def _cmd_sweep(args) -> int:
         dims_list = [(L,) * family.dimension for L in _int_list(str(args.L))]
     else:
         raise ValueError("supply --L or --dims")
-    p_list = _float_list(args.p)
+    p_list = _mc_p_list(args.p, args.trials)
     table = sweep(
         family,
         dims_list,
@@ -307,13 +320,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_growth(args) -> int:
     spec = GrowthEventSpec(args.event, args.size)
-    p_list = _float_list(args.p)
-    # Refuse bad Monte Carlo input before the exact enumeration, which can take seconds.
-    for p in p_list:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    p_list = _mc_p_list(args.p, args.trials)  # before the enumeration, which can take seconds
     poly = growth_polynomial(spec)
     rows = []
     for p in p_list:

@@ -31,7 +31,6 @@ from .rules import (
     closure_fast,
     closure_lanes,
     make_rule,
-    unpack_lanes,
 )
 
 _STREAM_DOMAIN = 0x66696C6C
@@ -155,6 +154,15 @@ def fill_success_counts(rule: Rule, grid: GridSpec) -> np.ndarray:
     return subset_success_counts(rule, grid, every, every)
 
 
+# bit j of _LANE_BITS[h] is bit h of j, and bit j of _LANE_CLASSES[c] is set
+# when j has c bits set
+_LANE_BITS = np.array([sum(1 << j for j in range(64) if j >> h & 1) for h in range(6)], np.uint64)
+_LANE_CLASSES = np.array(
+    [sum(1 << j for j in range(64) if bin(j).count("1") == c) for c in range(7)], np.uint64
+)
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def subset_success_counts(
     rule: Rule, grid: GridSpec, free: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
@@ -164,7 +172,10 @@ def subset_success_counts(
 
     ``free`` and ``target`` are flat cell indices; free cell ``free[h]``
     corresponds to bit ``h`` of the subset index.  Exhaustive over all
-    2^len(free) subsets, 64 to a word of :func:`closure_lanes`.
+    2^len(free) subsets, 64 to a word of :func:`closure_lanes`.  Subset
+    ``64 g + j`` has ``popcount(g) + popcount(j)`` cells, so the hits of
+    word ``g`` are counted by popcount once per lane class (the lanes
+    ``j`` of one popcount).
     """
     m = len(free)
     words = max(1, (1 << m) // 64)
@@ -172,18 +183,26 @@ def subset_success_counts(
     # cells.  The word count is a power of two too, so whole blocks tile
     # the 2^m subsets exactly and no block runs past the last one.
     block = min(words, 1 << max(0, ((1 << 14) // grid.cells).bit_length() - 1))
-    live = min(1 << m, 64 * block)
+    # With m < 6 free cells word 0 is the only word and only its lanes below
+    # 2^m are subsets; the others repeat them and must not be counted.
+    lanes = min(1 << m, 64)
+    classes = _LANE_CLASSES[: min(m, 6) + 1] & np.uint64((1 << lanes) - 1)
     counts = np.zeros(m + 1, dtype=np.int64)
     for first in range(0, words, block):
         planes = _subset_planes(first, block, grid.cells, free)
         closed = closure_lanes(planes.reshape((block,) + grid.shape), rule, grid.periodic)
         hits = np.bitwise_and.reduce(closed.reshape(block, -1)[:, target], axis=1)
-        subsets = np.flatnonzero(unpack_lanes(hits, live)) + 64 * first
-        k = np.zeros(subsets.size, dtype=np.int64)
-        for h in range(m):
-            k += (subsets >> h) & 1
-        counts += np.bincount(k, minlength=m + 1)
+        high = _popcount(np.arange(first, first + block, dtype=np.uint64))[:, None]
+        np.add.at(counts, high + np.arange(len(classes)), _popcount(hits[:, None] & classes))
     return counts
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word: a byte table gives each byte's count,
+    and one multiply sums a word's eight byte counts into its top byte."""
+    octets = np.take(_POPCOUNT8, np.ascontiguousarray(words).view(np.uint8))
+    total = octets.view(np.uint64) * np.uint64(0x0101010101010101)
+    return (total >> np.uint64(56)).astype(np.int64)
 
 
 def _subset_planes(first_word: int, n_words: int, cells: int, free: np.ndarray) -> np.ndarray:
@@ -196,7 +215,7 @@ def _subset_planes(first_word: int, n_words: int, cells: int, free: np.ndarray) 
     planes = np.full((n_words, cells), ~np.uint64(0))
     for h, cell in enumerate(free):
         if h < 6:
-            planes[:, cell] = sum(1 << j for j in range(64) if j >> h & 1)
+            planes[:, cell] = _LANE_BITS[h]
         else:
             planes[:, cell] = np.uint64(0) - ((g >> np.uint64(h - 6)) & np.uint64(1))
     return planes

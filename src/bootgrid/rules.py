@@ -19,11 +19,15 @@ The closure (the fixed point of repeated stepping) is provided three ways:
 * ``closure_lanes`` closes up to 64 configurations per uint64 word, one
   configuration per bit lane (multispin coding).  A synchronous step is
   a bit-sliced neighbour counter compared with ``theta`` in bit logic, or
-  the per-axis OR/AND of the modified rule.  ``closure_batch`` packs a
-  stack of boolean grids into lanes and unpacks the result, for the
-  Monte Carlo trial blocks of fill estimates and of the growth events;
-  exact subset enumeration (``fill_success_counts`` and the exact growth
-  polynomials) builds its lanes directly from the subset indices.
+  the per-axis OR/AND of the modified rule.  Each grid of words in a
+  batch settles on its own: once half of those still being stepped have
+  stopped changing, they are set aside and the rest are gathered into a
+  smaller array, so a batch is not stepped whole until its slowest grid
+  settles.  ``closure_batch`` packs a stack of boolean grids into lanes
+  and unpacks the result, for the Monte Carlo trial blocks of fill
+  estimates and of the growth events; exact subset enumeration
+  (``fill_success_counts`` and the exact growth polynomials) builds its
+  lanes directly from the subset indices.
 
 All three agree bit for bit.  Neighbour counts use the narrowest unsigned
 type that holds the stencil size, so stencils of more than 255 offsets
@@ -538,15 +542,25 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     result equals ``closure_naive`` of the same bit-plane of ``words``.
     The input is not modified.
 
-    The words are laid out flat with a halo as deep as the stencil's reach
-    on every grid axis, so each offset's shifted plane is one contiguous
-    slice of the flat array.  On an open grid the halo is zero and follows
-    each row (plane, block), where it also serves as the halo before the
-    next one; flat margins catch offsets past either end.  On a periodic
-    grid the halo is the wrapped grid on both sides, copied from the
-    interior before each step, so offsets that wrap onto one cell are each
-    counted.  A step is a fixed number of whole-array bit operations per
-    offset (multispin coding); the loop stops at the first step that
+    Each batch position is an entry, one word per cell, closed as a grid
+    of its own.  The entries lie one after another in a flat array, each
+    inside a halo as deep as the stencil's reach on every grid axis, so
+    each offset's shifted plane is one contiguous slice of the flat array.
+    On an open grid the halo is zero and follows each row (plane, block,
+    entry), where it also serves as the halo before the next one; flat
+    margins catch offsets past either end.  On a periodic grid the halo is
+    the wrapped grid on both sides, copied from the interior before each
+    step, so offsets that wrap onto one cell are each counted.  A step is
+    a fixed number of whole-array bit operations per offset (multispin
+    coding).
+
+    An entry whose step occupies nothing new has settled: it is its own
+    closure.  Once at least half of the entries still being stepped have
+    settled, they are written to the result and the others are gathered
+    to the front of the flat array, so later steps skip the settled ones.
+    A gather moves at most half of the entries before it, so all gathers
+    together copy no more words than the input has.  The loop ends when
+    every entry has settled; a single entry ends at its first step that
     occupies nothing new.
     """
     d = rule.dimension
@@ -557,51 +571,67 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
         )
     if words.size == 0:
         return words.copy()
-    lead = words.ndim - d
+    shape = words.shape[words.ndim - d :]
+    entries = words.reshape((-1,) + shape)
     offsets = rule.offsets if rule.kind == "threshold" else _axis_units(d)
-    # numpy axis lead + k of the words is offset component d - 1 - k
+    # grid axis k is offset component d - 1 - k
     reach = [max(abs(off[d - 1 - k]) for off in offsets) for k in range(d)]
     before = reach if periodic else [0] * d
-    pads = [(0, 0)] * lead + list(zip(before, reach))
-    padded_shape = tuple(n + b + a for n, (b, a) in zip(words.shape, pads))
-    strides = [int(np.prod(padded_shape[lead + k + 1 :])) for k in range(d)]
+    padded_shape = tuple(n + b + a for n, b, a in zip(shape, before, reach))
+    size = int(np.prod(padded_shape))  # words of one entry in the flat array
+    strides = [int(np.prod(padded_shape[k + 1 :])) for k in range(d)]
     shifts = [sum(off[d - 1 - k] * strides[k] for k in range(d)) for off in offsets]
-    margin = 0 if periodic else max(abs(sh) for sh in shifts)
-    total = int(np.prod(padded_shape))
-    flat = np.zeros(total + 2 * margin, dtype=np.uint64)
-    padded = flat[margin : margin + total].reshape(padded_shape)
-    interior = (...,) + tuple(slice(b, b + n) for b, n in zip(before, words.shape[lead:]))
-    padded[interior] = words
+    margin = max(abs(sh) for sh in shifts)
+    inner = tuple(slice(b, b + n) for b, n in zip(before, shape))
 
-    lo = sum(b * st for b, st in zip(before, strides))
-    hi = total - sum(r * st for r, st in zip(reach, strides))
-    core = flat[margin + lo : margin + hi]
-    planes = [flat[margin + lo + sh : margin + hi + sh] for sh in shifts]
-    free = np.zeros(padded_shape, dtype=np.uint64)  # empty interior cells
-    free[interior] = ~words
-    free = free.reshape(-1)[lo:hi]
+    live = np.arange(len(entries))  # result index of each entry still stepped
+    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
+    scratch = np.empty((2 + digits, live.size * size), dtype=np.uint64)
+    flat = np.zeros(live.size * size + 2 * margin, dtype=np.uint64)
+    padded = flat[margin : margin + live.size * size].reshape((-1,) + padded_shape)
+    padded[(...,) + inner] = entries
+    free = np.zeros_like(padded)  # empty interior cells
+    free[(...,) + inner] = ~entries
+    free = free.reshape(live.size, size)
     if periodic:
-        # halo cell -> the interior cell it wraps to, as indices into flat
-        # (a periodic grid has no margin)
-        own = np.arange(total).reshape(padded_shape)
-        source = np.pad(own[interior], pads, mode="wrap").reshape(-1)
+        # halo cell of an entry -> the interior cell it wraps to
+        own = np.arange(size).reshape(padded_shape)
+        source = np.pad(own[inner], list(zip(before, reach)), mode="wrap").reshape(-1)
         halo = np.flatnonzero(source != own.reshape(-1))
         source = source[halo]
-
-    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
-    pred, spare, *counter = np.empty((2 + digits, hi - lo), dtype=np.uint64)
+    result = np.empty(entries.shape, dtype=np.uint64)
+    grown = np.empty(live.size, dtype=np.uint64)  # OR of each entry's step
     while True:
-        if periodic:
-            flat[halo] = flat[source]
-        if rule.kind == "threshold":
-            _count_reaches_theta(planes, rule.theta, pred, spare, counter)
-        else:
-            _neighbour_on_every_axis(planes, pred, spare)
-        pred &= free
-        if not pred.any():
-            return padded[interior].copy()
-        core |= pred
-        free ^= pred
+        count = live.size
+        core = flat[margin : margin + count * size]
+        grids = core.reshape(count, size)
+        planes = [flat[margin + sh : margin + count * size + sh] for sh in shifts]
+        pred, spare, *counter = scratch[:, : count * size]
+        open_cells = free[:count].reshape(-1)
+        rows, grew = pred.reshape(count, size), grown[:count]
+        while True:
+            if periodic:
+                grids[:, halo] = grids[:, source]
+            if rule.kind == "threshold":
+                _count_reaches_theta(planes, rule.theta, pred, spare, counter)
+            else:
+                _neighbour_on_every_axis(planes, pred, spare)
+            pred &= open_cells
+            np.bitwise_or.reduce(rows, axis=1, out=grew)
+            core |= pred
+            open_cells ^= pred
+            kept = np.count_nonzero(grew)
+            if 2 * kept <= count:
+                break
+        moved = grew != 0
+        settled = ~moved
+        result[live[settled]] = grids.reshape((count,) + padded_shape)[(settled,) + inner]
+        if not kept:
+            return result.reshape(words.shape)
+        grids[:kept] = grids[moved]
+        free[:kept] = free[:count][moved]
+        live = live[moved]
+        flat[margin + kept * size : 2 * margin + kept * size] = 0  # fresh margin
 
 
 def closure_batch(occ: np.ndarray, rule: Rule, periodic: bool = False) -> np.ndarray:

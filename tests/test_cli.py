@@ -230,6 +230,37 @@ class TestExitCodes:
         assert message in err and out == ""
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--p", "0.05,0.06,1.5"], "p must lie in [0, 1]"),
+            (["--p", "0.5,-0.1"], "p must lie in [0, 1]"),
+            (["--p", "0.1,nan"], "p must lie in [0, 1]"),
+            (["--p", "0.1", "--trials", "0"], "trials must be >= 1"),
+            (["--p", "0.1,0.2", "--trials", "-5"], "trials must be >= 1"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fill", "--rule", "12", "--L", "8"],
+            ["sweep", "--rule", "12", "--L", "8,16"],
+        ],
+        ids=["fill", "sweep"],
+    )
+    def test_monte_carlo_refuses_bad_input_before_estimating(
+        self, monkeypatch, capsys, argv, args, message
+    ):
+        def estimate_anyway(*_args, **_kwargs):
+            raise AssertionError("fill_probability ran before the input was checked")
+
+        # fill calls it through the CLI module, sweep through montecarlo
+        monkeypatch.setattr("bootgrid.cli.fill_probability", estimate_anyway)
+        monkeypatch.setattr("bootgrid.montecarlo.fill_probability", estimate_anyway)
+        code, out, err = run_cli(capsys, *argv, *args)
+        assert code == 1
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["fill", "--rule", "standard2", "--L", "4", "--trials", "10"],

@@ -1,10 +1,16 @@
+import zlib
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from bootgrid import (
+    Configuration,
     Estimate,
     GridSpec,
     RuleFamily,
     Stream,
+    closure_naive,
     estimate_pc,
     fill_probability,
     fill_probability_exact,
@@ -13,6 +19,7 @@ from bootgrid import (
     random_configuration,
     sweep,
 )
+from bootgrid.montecarlo import subset_success_counts
 
 STD2 = make_rule(RuleFamily.standard(2))
 
@@ -197,6 +204,46 @@ class TestFillExact:
         # modified on 2x2 open: an empty cell needs occupied neighbours on
         # both axes, i.e. both orthogonal cells; same subsets fill as standard2
         assert fill_success_counts(rule, grid).tolist() == [0, 0, 2, 4, 1]
+
+
+def subset_counts_by_naive(rule, grid, free, target):
+    """subset_success_counts by closure_naive of each subset in turn."""
+    counts = np.zeros(len(free) + 1, dtype=np.int64)
+    for k in range(len(free) + 1):
+        for subset in combinations(free, k):
+            occ = np.ones(grid.cells, dtype=bool)
+            occ[np.setdiff1d(free, subset)] = False
+            closed = closure_naive(Configuration(grid, occ.reshape(grid.shape)), rule)
+            counts[k] += closed.cells.reshape(-1)[target].all()
+    return counts
+
+
+class TestSubsetSuccessCounts:
+    """Fewer than 64 subsets leave idle lanes in the only word; they must
+    not be counted.  The targets are not the free cells: some target cells
+    are free and the others are held occupied."""
+
+    @pytest.mark.parametrize(
+        "name, dims, boundary",
+        [
+            ("12", (4, 3), "open"),
+            ("standard2", (3, 3), "periodic"),
+            ("modified2", (3, 4), "open"),
+            ("duarte", (3, 3), "open"),
+            ("abc:1,1,2", (2, 2, 3), "open"),
+        ],
+    )
+    def test_matches_naive_for_0_to_7_free_cells(self, name, dims, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        grid = GridSpec(dims, boundary)
+        order = np.argsort(Stream((zlib.crc32(name.encode()),)).uniforms(grid.cells))
+        mixed = 0  # free-cell counts with both hitting and missing subsets
+        for m in range(8):
+            free, target = order[:m], order[m // 2 : m // 2 + 3]
+            want = subset_counts_by_naive(rule, grid, free, target)
+            assert subset_success_counts(rule, grid, free, target).tolist() == want.tolist()
+            mixed += 0 < want.sum() < 2**m
+        assert mixed
 
 
 class TestEstimatePc:

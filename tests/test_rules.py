@@ -311,6 +311,79 @@ class TestClosureLanes:
             closure_lanes(np.zeros(4, dtype=np.uint64), rule)
 
 
+def chain_grid(rule, boundary, length=40):
+    """A grid, and a function making configurations on it that fill one cell
+    (or one cross-section) per step along the last axis.
+
+    On every other axis the grid is occupied except an empty box of the
+    cells at coordinate >= that axis's stencil reach: its last cell on an
+    open grid (size reach + 1), a band as wide as the reach plus one on a
+    periodic grid (size 2 reach + 1).  A box cell then sees every occupied
+    offset on one side of each such axis and needs its neighbours along
+    the last axis, so seeding the box at two positions there starts a
+    chain that grows one position a step."""
+    reach = [max(abs(off[i]) for off in rule.offsets) for i in range(rule.dimension)]
+    short = [r + 1 if boundary == "open" else 2 * r + 1 for r in reach[:-1]]
+    grid = GridSpec(tuple(short) + (length,), boundary)
+    box = np.ones(grid.shape, dtype=bool)  # numpy axes [z, y, x]: the chain axis is 0
+    for i, r in enumerate(reach[:-1]):
+        index = [slice(None)] * rule.dimension
+        index[rule.dimension - 1 - i] = slice(0, r)
+        box[tuple(index)] = False
+
+    def chain(start):
+        occ = ~box
+        occ[start : start + 2] |= box[start : start + 2]
+        return occ
+
+    return grid, chain
+
+
+def naive_steps(grid, occ, rule):
+    """closure_naive and the number of synchronous steps it took."""
+    config, steps = Configuration(grid, occ), 1
+    while True:
+        config, changed = step(config, rule)
+        if not changed:
+            return config.cells, steps
+        steps += 1
+
+
+class TestClosureLanesSettling:
+    """Batches whose entries (words) settle at very different steps: empty
+    and full grids after one step, chains after tens, random grids in
+    between, so entries are set aside and gathered several times."""
+
+    FAMILIES = ["standard1", "standard2", "standard3", "modified2", "12", "abc:1,1,2"]
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_every_entry_and_lane_matches_naive(self, name, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        grid, chain = chain_grid(rule, boundary)
+        root = Stream((zlib.crc32(f"settle/{name}/{boundary}".encode()),))
+        pool = [np.zeros(grid.shape, dtype=bool), np.ones(grid.shape, dtype=bool)]
+        pool += [chain(start) for start in (0, 7, 19, 30, 38)]
+        pool += [random_configuration(grid, 0.1 + 0.06 * i, root.child(i)).cells
+                 for i in range(14)]
+        want, steps = zip(*(naive_steps(grid, occ, rule) for occ in pool))
+        assert max(steps) >= 20 and min(steps) == 1
+        # entry e draws its 64 lanes from a few pool configurations of one
+        # kind, so whole entries settle early or late
+        kinds = [[0], [1], [2, 3, 4, 5, 6], list(range(7, len(pool)))]
+        for lead in [(1,), (2,), (3,), (64,), (65,), (5, 13), (2, 3)]:
+            n = int(np.prod(lead))
+            picks = np.array([
+                kinds[e % 4][(e + j) % len(kinds[e % 4])] for e in range(n) for j in range(64)
+            ])
+            words = pack_lanes(np.stack([pool[i] for i in picks]))
+            closed = closure_lanes(words.reshape(lead + grid.shape), rule, grid.periodic)
+            assert closed.shape == lead + grid.shape
+            got = unpack_lanes(closed.reshape(words.shape), 64 * n)
+            for lane, i in enumerate(picks):
+                assert np.array_equal(got[lane], want[i]), (lead, lane // 64, lane % 64)
+
+
 class TestWideStencils:
     """Stencils with more than 255 offsets, whose neighbour counts do not
     fit in a byte: one empty cell in the middle sees every offset occupied."""
