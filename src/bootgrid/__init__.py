@@ -1,7 +1,7 @@
 """bootgrid: anisotropic bootstrap-percolation simulation and scaling laws.
 
 Finite-lattice growth rules (standard, modified, (1,2), (1,b), Duarte and
-3-d (a,b,c) neighbourhoods), exact, queue-based and bit-lane closures, Monte Carlo
+3-d (a,b,c) neighbourhoods), exact, row-packed and bit-lane closures, Monte Carlo
 fill-probability and threshold estimation, exact small-case enumeration
 oracles, and the closed-form nucleation/critical-volume scaling laws with
 their numeric inversion.

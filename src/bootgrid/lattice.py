@@ -219,8 +219,7 @@ def to_text(config: Configuration) -> str:
 
 def from_text(text: str) -> Configuration:
     """Parse the lattice text format (see the module docstring)."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    lines = [ln for ln in lines if not ln.startswith("#")]
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     if len(lines) < 2 or not lines[0].startswith("dims:"):
         raise ValueError("expected a 'dims: ...' header line")
     dims = tuple(int(tok) for tok in lines[0][len("dims:") :].split())
@@ -230,14 +229,19 @@ def from_text(text: str) -> Configuration:
     grid = GridSpec(dims, boundary)
 
     rows = [ln for ln in lines[2:] if ln.strip()]
-    for ln in rows:
-        if ln.strip("01"):
-            raise ValueError(f"invalid row characters in {ln!r}")
+    # One range check over the whole body; rows are scanned only to name
+    # the first bad one.
+    try:
+        body = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        body = None
+    if body is None or (body.size and (body.min() < ord("0") or body.max() > ord("1"))):
+        bad = next(ln for ln in rows if ln.strip("01"))
+        raise ValueError(f"invalid row characters in {bad!r}")
 
     lx = dims[0]
     ly = dims[1] if grid.ndim >= 2 else 1
     lz = dims[2] if grid.ndim == 3 else 1
     if len(rows) != ly * lz or any(len(r) != lx for r in rows):
         raise ValueError(f"body does not match dims {dims}")
-    cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) == ord("1")
-    return Configuration(grid, cells.reshape(grid.shape))
+    return Configuration(grid, (body == ord("1")).reshape(grid.shape))

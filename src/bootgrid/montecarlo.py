@@ -38,8 +38,8 @@ _STREAM_DOMAIN = 0x66696C6C
 EXACT_MAX_CELLS = 20
 
 # Grids up to this many cells are closed in stacked batches, 64 trials to a
-# word of the lane kernel; larger ones go through the queue closure one
-# trial at a time.
+# word of the lane kernel; larger ones go through the row-packed closure
+# (closure_fast) one trial at a time.
 _BATCH_CELL_LIMIT = 4096
 
 
@@ -77,8 +77,8 @@ def _chunk_size(cells: int, trials: int, threads: int) -> int:
 
     On the batch path a block is whole 64-trial words of the lane kernel,
     about 2^16 words, but no more words than ``trials / threads`` needs,
-    so a threaded run has a block for every thread.  On the queue path a
-    block holds about 2^16 cells.
+    so a threaded run has a block for every thread.  On the per-trial
+    path a block holds about 2^16 cells.
     """
     units = max(1, min(4096, (1 << 16) // max(cells, 1)))
     if cells > _BATCH_CELL_LIMIT:

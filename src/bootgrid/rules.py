@@ -10,28 +10,35 @@ Two rule kinds cover every supported family:
   has at least one occupied neighbour at distance one.  This is a
   conjunction per axis and is deliberately not encoded as a threshold.
 
-The closure (the fixed point of repeated stepping) is provided three ways:
+The closure (the fixed point of repeated stepping) is computed by one
+bit-parallel kernel in two packings, and by a naive oracle:
 
 * ``closure_naive`` iterates the synchronous step until nothing changes;
-  it is the oracle the other two are tested against.
-* ``closure_fast`` runs a work-queue algorithm that touches each cell a
-  bounded number of times, for one large, sparse configuration.
-* ``closure_lanes`` closes up to 64 configurations per uint64 word, one
-  configuration per bit lane (multispin coding).  A synchronous step is
-  a bit-sliced neighbour counter compared with ``theta`` in bit logic, or
-  the per-axis OR/AND of the modified rule.  Each grid of words in a
-  batch settles on its own: once half of those still being stepped have
-  stopped changing, they are set aside and the rest are gathered into a
-  smaller array, so a batch is not stepped whole until its slowest grid
-  settles.  ``closure_batch`` packs a stack of boolean grids into lanes
-  and unpacks the result, for the Monte Carlo trial blocks of fill
-  estimates and of the growth events; exact subset enumeration
-  (``fill_success_counts`` and the exact growth polynomials) builds its
-  lanes directly from the subset indices.
+  it is the oracle the kernel is tested against.
+* The kernel's synchronous step is a bit-sliced neighbour counter
+  compared with ``theta`` in bit logic, or the per-axis OR/AND of the
+  modified rule, over uint64 words whose bits are cells or configurations:
 
-All three agree bit for bit.  Neighbour counts use the narrowest unsigned
-type that holds the stencil size, so stencils of more than 255 offsets
-(``1b:b`` with b >= 127, ``abc`` with a+b+c >= 128) do not wrap.
+  - ``closure_fast`` packs the cells of a row, 64 to a word (bitboards),
+    for one large configuration.  x offsets are word shifts, y and z
+    offsets are row lookups, and only rows within reach of a row that
+    changed in the last step are stepped.
+  - ``closure_lanes`` packs configurations, one per bit lane (multispin
+    coding), closing up to 64 configurations per word.  Each grid of
+    words in a batch settles on its own: once half of those still being
+    stepped have stopped changing, they are set aside and the rest are
+    gathered into a smaller array, so a batch is not stepped whole until
+    its slowest grid settles.  ``closure_batch`` packs a stack of boolean
+    grids into lanes and unpacks the result, for the Monte Carlo trial
+    blocks of fill estimates and of the growth events; exact subset
+    enumeration (``fill_success_counts`` and the exact growth
+    polynomials) builds its lanes directly from the subset indices.
+
+All of them agree bit for bit.  The naive step counts neighbours in the
+narrowest unsigned type that holds the stencil size, and the kernel's
+counter has as many digit planes as that size has bits, so stencils of
+more than 255 offsets (``1b:b`` with b >= 127, ``abc`` with a+b+c >= 128)
+do not wrap.
 """
 
 from __future__ import annotations
@@ -40,13 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Configuration, GridSpec
+from .lattice import Configuration
 
 FAMILY_KINDS = ("standard", "modified", "one_two", "one_b", "duarte", "abc")
-
-# Queue waves bigger than cells/_DENSE_WAVE_DIVISOR use dense shifted adds
-# instead of scatter updates; both apply identical increments.
-_DENSE_WAVE_DIVISOR = 24
 
 
 @dataclass(frozen=True)
@@ -310,156 +313,117 @@ def closure_naive(config: Configuration, rule: Rule) -> Configuration:
             return current
 
 
-class _FlatGeometry:
-    """Flat-index coordinate arithmetic for the queue closure."""
-
-    def __init__(self, grid: GridSpec):
-        self.dims = grid.dims
-        self.periodic = grid.periodic
-        self.strides = [1]
-        for d in grid.dims[:-1]:
-            self.strides.append(self.strides[-1] * d)
-
-    def coords(self, flat: np.ndarray) -> list[np.ndarray]:
-        out = []
-        rest = flat
-        for d in self.dims[:-1]:
-            out.append(rest % d)
-            rest = rest // d
-        out.append(rest)
-        return out
-
-    def targets(self, coords: list[np.ndarray], offset: tuple[int, ...]) -> np.ndarray:
-        """Flat indices of cell+offset, dropping out-of-range cells on open
-        grids and wrapping on periodic ones."""
-        if self.periodic:
-            flat = None
-            for c, v, d, s in zip(coords, offset, self.dims, self.strides):
-                t = (c + v) % d if v else c
-                flat = t * s if flat is None else flat + t * s
-            return flat
-        mask = None
-        for c, v, d in zip(coords, offset, self.dims):
-            if v:
-                m = (c + v >= 0) & (c + v < d)
-                mask = m if mask is None else (mask & m)
-        flat = None
-        for c, v, s in zip(coords, offset, self.strides):
-            t = c + v if v else c
-            flat = t * s if flat is None else flat + t * s
-        return flat if mask is None else flat[mask]
+def _shifted(rows: np.ndarray, k: int, start: int, width: int) -> np.ndarray:
+    """Bit rows moved along x: bit ``x`` of the result is bit ``x + k`` of
+    the rows whose ``width`` data words begin at column ``start`` of
+    ``rows`` (cell x at bit x % 64 of word x // 64).  Carries cross words,
+    so ``|k|`` may exceed 64; the zero words padding each side of the data
+    must cover the words that ``k`` reaches."""
+    q, s = divmod(k, 64)
+    plane = rows[:, start + q : start + q + width]
+    if s:
+        plane = plane >> np.uint64(s)
+        plane |= rows[:, start + q + 1 : start + q + 1 + width] << np.uint64(64 - s)
+    return plane
 
 
-def _wave_counts_threshold(
-    occ_flat, counts, wave_flat, wave_dense, geom, rule, shape, periodic
-) -> np.ndarray:
-    """Apply one wave's reverse-stencil increments; return candidate cells
-    that reached the threshold."""
-    cells = occ_flat.size
-    if wave_dense is not None:
-        # Dense wave: identical increments computed with shifted adds.
-        contrib = np.zeros(shape, dtype=counts.dtype)
-        wave8 = wave_dense.view(np.uint8)
-        for off in rule.offsets:
-            _shifted_into(contrib, wave8, off, periodic)
-        counts += contrib.reshape(-1)
-        cand = np.flatnonzero((counts >= rule.theta) & ~occ_flat)
-        return cand
-    coords = geom.coords(wave_flat)
-    all_targets = []
-    for off in rule.offsets:
-        # A cell at c sees the wave cell f when f = c + off, so c = f - off.
-        t = geom.targets(coords, tuple(-v for v in off))
-        if t.size:
-            t = t[~occ_flat[t]]
-        if t.size:
-            np.add.at(counts, t, 1)
-            all_targets.append(t)
-    if not all_targets:
-        return np.empty(0, dtype=np.int64)
-    t = np.concatenate(all_targets)
-    sat = counts[t] >= rule.theta
-    return np.unique(t[sat])
-
-
-def _wave_flags_modified(
-    occ_flat, axis_flags, axis_count, wave_flat, geom, rule
-) -> np.ndarray:
-    d = rule.dimension
-    coords = geom.coords(wave_flat)
-    completed = []
-    for axis in range(d):
-        off = [0] * d
-        targets = []
-        for sign in (1, -1):
-            off[axis] = sign
-            t = geom.targets(coords, tuple(off))
-            if t.size:
-                targets.append(t)
-        off[axis] = 0
-        if not targets:
-            continue
-        t = np.concatenate(targets)
-        t = t[~occ_flat[t] & ~axis_flags[axis][t]]
-        if not t.size:
-            continue
-        u = np.unique(t)
-        axis_flags[axis][u] = True
-        axis_count[u] += 1
-        completed.append(u[axis_count[u] == d])
-    if not completed:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(completed))
+def _row_planes(board, sources, groups, lx, periodic, start, width):
+    """The shifted planes of one step, one at a time: for each row group's
+    source rows (gathered once) and each of its x components ``dx``, bit x
+    of the plane is the cell at ``x + dx`` of the source row.  On periodic
+    grids ``dx`` rotates within ``lx`` bits, so offsets that wrap onto one
+    cell each give a plane."""
+    for src, dxs in zip(sources, groups):
+        rows = board[src]
+        for dx in dxs:
+            k = dx % lx if periodic else dx
+            if periodic and k:
+                yield _shifted(rows, k, start, width) | _shifted(rows, k - lx, start, width)
+            else:
+                yield _shifted(rows, k, start, width)
 
 
 def closure_fast(config: Configuration, rule: Rule) -> Configuration:
-    """Work-queue closure, identical output to :func:`closure_naive`.
+    """Closure of one configuration, identical output to :func:`closure_naive`.
 
-    Per-empty-cell state is kept (an occupied-neighbour counter for
-    threshold rules, per-axis flags plus a satisfied-axis counter for the
-    modified rule).  The queue starts with the initially occupied cells;
-    when a cell becomes occupied the state of every cell whose
-    neighbourhood contains it is updated and cells reaching the predicate
-    join the next wave.  Each cell is enqueued at most once, so total work
-    is O(cells x stencil size).  Large waves apply their increments with
-    dense shifted adds rather than scatters; the increments are the same.
+    One counter, two packings: :func:`closure_lanes` packs configurations
+    into the bits of a word, this packs the cells of a row.  Row ``(z, y)``
+    is ``ceil(Lx / 64)`` uint64 words, cell x at bit ``x % 64`` of word
+    ``x // 64``, with zero words on either side as far as the x offsets
+    reach; bits past ``Lx`` stay zero.  Offsets are grouped by their (y, z)
+    part, which a neighbour-row table resolves (out-of-range rows point at
+    a zero row on open grids, and wrap on periodic ones); the x part is a
+    shift with carries across words, or on periodic grids a rotation
+    within ``Lx`` bits made of two shifts.  A synchronous step feeds these
+    planes, made one at a time, to the same bit-sliced counter (or
+    per-axis OR/AND for the modified rule) as the lane kernel.
+
+    A row's step depends only on its source rows, so only rows with a
+    source row that changed in the last step are gathered and stepped;
+    the loop ends when no row changes.
     """
     _check_dimensions(config, rule)
     grid = config.grid
-    cells = grid.cells
-    shape = grid.shape
     periodic = grid.periodic
-    geom = _FlatGeometry(grid)
+    lz, ly, lx = (1, 1, *grid.shape)[-3:]
+    n_rows, width = lz * ly, -(-lx // 64)
 
-    occ_nd = config.cells.copy()
-    occ_flat = occ_nd.reshape(-1)
-
-    if rule.kind == "threshold":
-        counts = np.zeros(cells, dtype=_count_dtype(rule))
-    else:
-        axis_flags = [np.zeros(cells, dtype=bool) for _ in range(rule.dimension)]
-        axis_count = np.zeros(cells, dtype=np.uint8)
-
-    wave_flat = np.flatnonzero(occ_flat)
-    wave_is_whole_initial = True
-    while wave_flat.size:
-        if rule.kind == "threshold":
-            dense = None
-            if wave_flat.size > cells // _DENSE_WAVE_DIVISOR:
-                if wave_is_whole_initial:
-                    dense = occ_nd.copy()
-                else:
-                    dense = np.zeros(shape, dtype=bool)
-                    dense.reshape(-1)[wave_flat] = True
-            cand = _wave_counts_threshold(
-                occ_flat, counts, wave_flat, dense, geom, rule, shape, periodic
-            )
+    offsets = rule.offsets if rule.kind == "threshold" else _axis_units(rule.dimension)
+    groups: dict[tuple[int, int], list[int]] = {}  # (dy, dz) -> dx, in stencil order
+    for off in offsets:
+        dx, dy, dz = (*off, 0, 0)[:3]
+        groups.setdefault((dy, dz), []).append(dx)
+    z, y = np.divmod(np.arange(n_rows), ly)
+    sources = []  # per group, the board row each row reads
+    for dy, dz in groups:
+        ny, nz = y + dy, z + dz
+        if periodic:
+            sources.append(nz % lz * ly + ny % ly)
         else:
-            cand = _wave_flags_modified(occ_flat, axis_flags, axis_count, wave_flat, geom, rule)
-        occ_flat[cand] = True
-        wave_flat = cand
-        wave_is_whole_initial = False
-    return Configuration(grid, occ_nd)
+            inside = (ny >= 0) & (ny < ly) & (nz >= 0) & (nz < lz)
+            sources.append(np.where(inside, nz * ly + ny, n_rows))
+    sources = np.stack(sources)
+    shifts = [off[0] for off in offsets]
+    if periodic:
+        shifts = [k for dx in shifts for k in (dx % lx, dx % lx - lx)]
+    start = max(0, *(-(k // 64) for k in shifts))  # zero words before the data
+    after = max(1, *(k // 64 + 1 for k in shifts))  # and after it
+
+    # Row n_rows is the zero row that open grids point out-of-range rows at.
+    octets = np.zeros((n_rows + 1, 8 * (start + width + after)), dtype=np.uint8)
+    octets[:n_rows, 8 * start : 8 * start + -(-lx // 8)] = np.packbits(
+        config.cells.reshape(n_rows, lx), axis=1, bitorder="little"
+    )
+    board = octets.view(np.uint64)
+    tail = np.uint64((1 << (lx - 64 * (width - 1))) - 1)  # live bits of the last word
+
+    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
+    scratch = np.empty((2 + digits, n_rows, width), dtype=np.uint64)
+    changed = np.ones(n_rows + 1, dtype=bool)
+    changed[n_rows] = False
+    while True:
+        active = np.flatnonzero(changed[sources].any(axis=0))
+        if not active.size:
+            break
+        pred, spare, *counter = scratch[:, : active.size]
+        planes = _row_planes(
+            board, sources[:, active], groups.values(), lx, periodic, start, width
+        )
+        if rule.kind == "threshold":
+            _count_reaches_theta(planes, rule.theta, pred, spare, counter)
+        else:
+            _neighbour_on_every_axis(planes, pred, spare)
+        rows = board[active]
+        occupied = rows[:, start : start + width]
+        np.bitwise_not(occupied, out=spare)
+        pred &= spare
+        pred[:, -1] &= tail
+        occupied |= pred
+        board[active] = rows
+        changed[:] = False
+        changed[active[pred.any(axis=1)]] = True
+    cells = np.unpackbits(octets[:n_rows, 8 * start :], axis=1, count=lx, bitorder="little")
+    return Configuration(grid, cells.view(bool).reshape(grid.shape))
 
 
 def closure(config: Configuration, rule: Rule) -> Configuration:
@@ -492,22 +456,25 @@ def unpack_lanes(words: np.ndarray, n: int) -> np.ndarray:
 def _count_reaches_theta(planes, theta, out, spare, digits) -> None:
     """out = cells where at least ``theta`` of ``planes`` are set.
 
-    A vertical counter: ``digits[j]`` holds bit ``j`` of every cell's
-    count in every lane.  Adding plane ``i`` ripples a carry through the
-    digits that a count of at most ``i + 1`` can reach.  The comparison
-    with ``theta`` runs from its lowest set bit upward: ``count >= theta``
-    on bits ``0..j`` is ``d_j & ge`` where bit ``j`` of theta is 1 and
-    ``d_j | ge`` where it is 0.
+    ``planes`` is an iterable read once, in order, so a caller may make
+    each plane only when it is needed.  A vertical counter: ``digits[j]``
+    holds bit ``j`` of the count at every bit position.  Adding plane
+    ``i`` ripples a carry through the digits that a count of at most
+    ``i + 1`` can reach.  The comparison with ``theta`` runs from its
+    lowest set bit upward: ``count >= theta`` on bits ``0..j`` is
+    ``d_j & ge`` where bit ``j`` of theta is 1 and ``d_j | ge`` where it
+    is 0.
     """
-    if len(planes) == 1:
-        np.copyto(digits[0], planes[0])
+    planes = iter(planes)
+    first, second = next(planes), next(planes, None)
+    if second is None:
+        np.copyto(digits[0], first)
     else:
-        np.bitwise_and(planes[0], planes[1], out=digits[1])
-        np.bitwise_xor(planes[0], planes[1], out=digits[0])
-    for i in range(2, len(planes)):
+        np.bitwise_and(first, second, out=digits[1])
+        np.bitwise_xor(first, second, out=digits[0])
+    for i, carry in enumerate(planes, 2):
         top = (i + 1).bit_length() - 1
         fresh = i + 1 == 1 << top  # digit `top` is first reached by this plane
-        carry = planes[i]
         for j in range(top):
             into = digits[top] if fresh and j == top - 1 else (spare if carry is out else out)
             np.bitwise_and(digits[j], carry, out=into)
@@ -526,10 +493,11 @@ def _count_reaches_theta(planes, theta, out, spare, digits) -> None:
 
 def _neighbour_on_every_axis(planes, out, spare) -> None:
     """out = cells with an occupied unit neighbour on every axis; ``planes``
-    are the (+1, -1) neighbour planes of each axis in turn."""
-    np.bitwise_or(planes[0], planes[1], out=out)
-    for i in range(2, len(planes), 2):
-        np.bitwise_or(planes[i], planes[i + 1], out=spare)
+    iterates over the (+1, -1) neighbour planes of each axis in turn."""
+    planes = iter(planes)
+    np.bitwise_or(next(planes), next(planes), out=out)
+    for plus in planes:
+        np.bitwise_or(plus, next(planes), out=spare)
         out &= spare
 
 

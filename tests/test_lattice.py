@@ -245,7 +245,14 @@ class TestTextFormatOracle:
             "010 \n111\n",
             " 010\n111\n",
             "010\n121\n",
+            "010\n1/1\n",
+            "/10\n111\n",
+            "010\n112\n",
+            "010\n1\x001\n",
+            "010\n1\x7f1\n",
             "010\n1\u06611\n",
+            "010\n1\u00e91\n",
+            "\u00e910\n111\n",
             "010\n1x1\n",
             "010\n1\x0c11\n",
             "010\x0c111\n",
@@ -306,6 +313,22 @@ class TestTextFormatOracle:
         assert text == ref_to_text(cfg)
         assert len(text) == len("dims: 2048 2048\nboundary: open\n") + 2048 * 2049
         assert from_text(text) == cfg == ref_from_text(text)
+
+    @pytest.mark.parametrize("bad,at", [("2", 2047), ("\u0661", 2047), ("/", 0)])
+    def test_2048_rows_bad_last_row_is_named(self, bad, at):
+        last = "1" * at + bad + "0" * (2047 - at)
+        body = ("01" * 1024 + "\n") * 2047 + last + "\n"
+        text = "dims: 2048 2048\nboundary: open\n" + body
+        _assert_parses_like_reference(text)
+        with pytest.raises(ValueError, match="invalid row characters") as exc:
+            from_text(text)
+        assert repr(last) in str(exc.value)
+
+    def test_2048_rows_one_row_short(self):
+        text = "dims: 2048 2048\nboundary: open\n" + ("10" * 1024 + "\n") * 2047
+        _assert_parses_like_reference(text)
+        with pytest.raises(ValueError, match="body does not match dims"):
+            from_text(text)
 
     @given(
         st.text(alphabet="01 2\t\r\n\x0c#\u2028", max_size=40),

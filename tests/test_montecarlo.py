@@ -132,7 +132,7 @@ class TestFillProbability:
 
     def test_queue_path_matches_per_trial_reconstruction(self):
         # 4900 cells exceeds the batch limit, exercising the per-trial
-        # queue path; reconstruct with the naive closure instead.
+        # closure_fast path; reconstruct with the naive closure instead.
         from bootgrid.montecarlo import _BATCH_CELL_LIMIT, _STREAM_DOMAIN
         from bootgrid.rules import closure_naive
 

@@ -9,6 +9,7 @@ from bootgrid import (
     Configuration,
     GridSpec,
     Rect,
+    Rule,
     RuleFamily,
     Stream,
     checkerboard_rect,
@@ -421,6 +422,52 @@ class TestWideStencils:
             assert closure_naive(cfg, rule) == want
             assert closure_fast(cfg, rule) == want
             assert np.array_equal(got, want.cells)
+
+
+ROW_FAMILIES = ["standard1", "standard2", "standard3", "modified1", "modified2", "modified3",
+                "12", "duarte", "1b:1", "1b:64", "1b:65"]
+
+
+class TestRowKernelEdges:
+    """closure_fast packs the cells of a row into 64-bit words: grids one
+    word wide and just past a word edge, x offsets of a word or more, and
+    periodic grids where offsets wrap onto one cell."""
+
+    @staticmethod
+    def configurations(grid, key):
+        root = Stream((zlib.crc32(key.encode()),))
+        yield empty_configuration(grid)
+        yield full_configuration(grid)
+        for i, p in enumerate((0.1, 0.3, 0.5)):
+            yield random_configuration(grid, p, root.child(i))
+
+    @pytest.mark.parametrize("name", ROW_FAMILIES)
+    @pytest.mark.parametrize("lx", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_row_widths_match_reference(self, name, lx, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        grid = GridSpec(((lx,), (lx, 3), (lx, 2, 2))[rule.dimension - 1], boundary)
+        for cfg in self.configurations(grid, f"rows/{name}/{lx}/{boundary}"):
+            assert closure_fast(cfg, rule) == ref_closure(cfg, rule)
+
+    @pytest.mark.parametrize("lx", [5, 63, 65, 130])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_diagonal_stencil_matches_reference(self, lx, boundary):
+        # A bit past the end of row y + 1, set from row y through (-2, -1),
+        # would be read back by row y through (1, 1).
+        rule = Rule("threshold", 2, ((-2, -1), (1, 1)), 1)
+        grid = GridSpec((lx, 4), boundary)
+        for cfg in self.configurations(grid, f"diagonal/{lx}/{boundary}"):
+            assert closure_fast(cfg, rule) == ref_closure(cfg, rule)
+
+    @pytest.mark.parametrize("name", ["abc:1,1,2", "abc:1,2,3"])
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3), (5, 4)], ids=str)
+    @pytest.mark.parametrize("lz", [1, 2, 3])
+    def test_periodic_3d_wrapped_offsets_match_reference(self, name, dims, lz):
+        rule = make_rule(RuleFamily.parse(name))
+        grid = GridSpec(dims + (lz,), "periodic")
+        for cfg in self.configurations(grid, f"wrap/{name}/{dims}/{lz}"):
+            assert closure_fast(cfg, rule) == ref_closure(cfg, rule)
 
 
 class TestClosureProperties:
