@@ -11,11 +11,15 @@ One executable, eight subcommands, machine-readable output:
     scaling     leading-order p_c and threshold-window width
     invert      numeric inversion of ln V_c plus the expansion terms
 
-Every run emits a manifest (subcommand, parameters, seed, threads,
-version, timestamp) as ``#`` comment lines in CSV mode or a ``manifest``
-object in JSON mode.  Data rows are a pure function of the manifest minus
-its timestamp; ``--threads`` changes runtime only.  Exit codes: 0 on
-success, 2 on usage errors, 1 on runtime errors.
+Each subcommand only computes: it maps the parsed arguments to its
+parameters, its columns and its rows (``close``: its lattice text).
+``main`` then builds the one manifest (subcommand, parameters, seed,
+threads, version, timestamp) and one writer emits it, as ``#`` comment
+lines in CSV mode or a ``manifest`` object in JSON mode, followed by the
+rows.  Data rows are a pure function of the manifest minus its timestamp;
+``--threads`` changes runtime only.  ``BOOTGRID_THREADS`` is the default
+of ``--threads`` and is checked the same way.  Exit codes: 0 on success,
+2 on usage errors, 1 on runtime errors.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
@@ -42,13 +47,6 @@ from .montecarlo import estimate_pc, fill_probability, sweep
 from .rules import RuleFamily, closure_fast, make_rule
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BOOTGRID_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class RunManifest:
     subcommand: str
@@ -59,16 +57,6 @@ class RunManifest:
     timestamp: str = field(
         default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "threads": self.threads,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
 
     def comment_lines(self) -> list[str]:
         return [
@@ -81,38 +69,25 @@ class RunManifest:
         ]
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _emit(args, manifest: RunManifest, fieldnames: list[str], rows: list[dict]) -> None:
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+def _write(args, manifest: RunManifest, columns: list[str] | None, rows) -> None:
+    """Write one run: the manifest, then the table of ``rows`` (tuples in
+    ``columns`` order) or, when ``columns`` is None, the lattice text
+    ``rows`` as it is.  ``--out`` is opened only here, so a run that fails
+    leaves no file behind."""
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as out:
         if args.format == "json":
-            json.dump({"manifest": manifest.as_dict(), "rows": rows}, out, indent=2)
+            table = [dict(zip(columns, row)) for row in rows]
+            json.dump({"manifest": asdict(manifest), "rows": table}, out, indent=2)
             out.write("\n")
+            return
+        out.writelines(line + "\n" for line in manifest.comment_lines())
+        if columns is None:
+            out.write(rows)
         else:
-            for line in manifest.comment_lines():
-                out.write(line + "\n")
-            out.write(",".join(fieldnames) + "\n")
+            out.write(",".join(columns) + "\n")
             for row in rows:
-                out.write(",".join(_fmt_value(row[k]) for k in fieldnames) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
-def _emit_text(args, manifest: RunManifest, text: str) -> None:
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
-        for line in manifest.comment_lines():
-            out.write(line + "\n")
-        out.write(text)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                cells = (repr(v) if isinstance(v, float) else str(v) for v in row)
+                out.write(",".join(cells) + "\n")
 
 
 def _float_list(text: str) -> list[float]:
@@ -139,18 +114,20 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _dims_for(args, family: RuleFamily) -> tuple[int, ...]:
-    if args.dims is not None:
-        dims = tuple(_int_list(args.dims))
-    elif args.L is not None:
-        dims = (args.L,) * family.dimension
-    else:
-        raise ValueError("supply --L or --dims")
+def _family_dims(family: RuleFamily, dims: tuple[int, ...]) -> tuple[int, ...]:
     if len(dims) != family.dimension:
         raise ValueError(
             f"family {family.name} is {family.dimension}-dimensional, got dims {dims}"
         )
     return dims
+
+
+def _dims_for(args, family: RuleFamily) -> tuple[int, ...]:
+    if args.dims is not None:
+        return _family_dims(family, tuple(_int_list(args.dims)))
+    if args.L is not None:
+        return (args.L,) * family.dimension
+    raise ValueError("supply --L or --dims")
 
 
 def _dims_str(dims: tuple[int, ...]) -> str:
@@ -171,11 +148,18 @@ def _scaling_model(args) -> ScalingModel:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps args to (params, columns, rows) and writes nothing
 # --------------------------------------------------------------------------
 
+# The columns of fill, pc and sweep; _estimate_row gives a row of them.
+_ESTIMATE_COLUMNS = ["family", "dims", "p", "mean", "stderr", "trials", "seed"]
 
-def _cmd_close(args) -> int:
+
+def _estimate_row(family: str, dims: tuple[int, ...], p: float, est) -> tuple:
+    return (family, _dims_str(dims), p, est.mean, est.stderr, est.trials, est.seed)
+
+
+def _cmd_close(args):
     family = RuleFamily.parse(args.rule)
     rule = make_rule(family)
     if args.infile == "-":
@@ -183,19 +167,11 @@ def _cmd_close(args) -> int:
     else:
         with open(args.infile) as fp:
             text = fp.read()
-    config = from_text(text)
-    closed = closure_fast(config, rule)
-    manifest = RunManifest(
-        "close",
-        {"rule": family.name, "in": args.infile},
-        seed=None,
-        threads=args.threads,
-    )
-    _emit_text(args, manifest, to_text(closed))
-    return 0
+    closed = closure_fast(from_text(text), rule)
+    return {"rule": family.name, "in": args.infile}, None, to_text(closed)
 
 
-def _cmd_fill(args) -> int:
+def _cmd_fill(args):
     family = RuleFamily.parse(args.rule)
     rule = make_rule(family)
     dims = _dims_for(args, family)
@@ -203,34 +179,18 @@ def _cmd_fill(args) -> int:
     rows = []
     for p in _mc_p_list(args.p, args.trials):
         est = fill_probability(rule, grid, p, args.trials, args.seed, args.threads)
-        rows.append(
-            {
-                "family": family.name,
-                "dims": _dims_str(dims),
-                "p": p,
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "trials": est.trials,
-                "seed": est.seed,
-            }
-        )
-    manifest = RunManifest(
-        "fill",
-        {
-            "rule": family.name,
-            "dims": _dims_str(dims),
-            "boundary": args.boundary,
-            "p": args.p,
-            "trials": args.trials,
-        },
-        seed=args.seed,
-        threads=args.threads,
-    )
-    _emit(args, manifest, ["family", "dims", "p", "mean", "stderr", "trials", "seed"], rows)
-    return 0
+        rows.append(_estimate_row(family.name, dims, p, est))
+    params = {
+        "rule": family.name,
+        "dims": _dims_str(dims),
+        "boundary": args.boundary,
+        "p": args.p,
+        "trials": args.trials,
+    }
+    return params, _ESTIMATE_COLUMNS, rows
 
 
-def _cmd_pc(args) -> int:
+def _cmd_pc(args):
     family = RuleFamily.parse(args.rule)
     rule = make_rule(family)
     dims = _dims_for(args, family)
@@ -244,38 +204,22 @@ def _cmd_pc(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    rows = [
-        {
-            "family": family.name,
-            "dims": _dims_str(dims),
-            "p": args.target,
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "trials": est.trials,
-            "seed": est.seed,
-        }
-    ]
-    manifest = RunManifest(
-        "pc",
-        {
-            "rule": family.name,
-            "dims": _dims_str(dims),
-            "boundary": args.boundary,
-            "target": args.target,
-            "tol": args.tol,
-            "trials": args.trials,
-        },
-        seed=args.seed,
-        threads=args.threads,
-    )
-    _emit(args, manifest, ["family", "dims", "p", "mean", "stderr", "trials", "seed"], rows)
-    return 0
+    params = {
+        "rule": family.name,
+        "dims": _dims_str(dims),
+        "boundary": args.boundary,
+        "target": args.target,
+        "tol": args.tol,
+        "trials": args.trials,
+    }
+    return params, _ESTIMATE_COLUMNS, [_estimate_row(family.name, dims, args.target, est)]
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     family = RuleFamily.parse(args.rule)
     if args.dims is not None:
-        dims_list = [tuple(_int_list(group)) for group in args.dims.split(";") if group.strip()]
+        groups = [group for group in args.dims.split(";") if group.strip()]
+        dims_list = [_family_dims(family, tuple(_int_list(group))) for group in groups]
     elif args.L is not None:
         dims_list = [(L,) * family.dimension for L in _int_list(str(args.L))]
     else:
@@ -290,35 +234,17 @@ def _cmd_sweep(args) -> int:
         boundary=args.boundary,
         threads=args.threads,
     )
-    rows = [
-        {
-            "family": r.family,
-            "dims": _dims_str(r.dims),
-            "p": r.p,
-            "mean": r.mean,
-            "stderr": r.stderr,
-            "trials": r.trials,
-            "seed": r.seed,
-        }
-        for r in table
-    ]
-    manifest = RunManifest(
-        "sweep",
-        {
-            "rule": family.name,
-            "dims": [_dims_str(d) for d in dims_list],
-            "boundary": args.boundary,
-            "p": args.p,
-            "trials": args.trials,
-        },
-        seed=args.seed,
-        threads=args.threads,
-    )
-    _emit(args, manifest, ["family", "dims", "p", "mean", "stderr", "trials", "seed"], rows)
-    return 0
+    params = {
+        "rule": family.name,
+        "dims": [_dims_str(d) for d in dims_list],
+        "boundary": args.boundary,
+        "p": args.p,
+        "trials": args.trials,
+    }
+    return params, _ESTIMATE_COLUMNS, [_estimate_row(r.family, r.dims, r.p, r) for r in table]
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args):
     spec = GrowthEventSpec(args.event, args.size)
     p_list = _mc_p_list(args.p, args.trials)  # before the enumeration, which can take seconds
     poly = growth_polynomial(spec)
@@ -326,50 +252,21 @@ def _cmd_growth(args) -> int:
     for p in p_list:
         est = estimate_growth_mc(spec, p, args.trials, args.seed)
         rows.append(
-            {
-                "event": spec.direction,
-                "param": spec.size,
-                "p": p,
-                "exact": poly.evaluate(p),
-                "mc_mean": est.mean,
-                "mc_stderr": est.stderr,
-                "trials": est.trials,
-            }
+            (spec.direction, spec.size, p, poly.evaluate(p), est.mean, est.stderr, est.trials)
         )
-    manifest = RunManifest(
-        "growth",
-        {"event": spec.direction, "size": spec.size, "p": args.p, "trials": args.trials},
-        seed=args.seed,
-        threads=args.threads,
-    )
-    _emit(
-        args,
-        manifest,
-        ["event", "param", "p", "exact", "mc_mean", "mc_stderr", "trials"],
-        rows,
-    )
-    return 0
+    params = {"event": spec.direction, "size": spec.size, "p": args.p, "trials": args.trials}
+    return params, ["event", "param", "p", "exact", "mc_mean", "mc_stderr", "trials"], rows
 
 
-def _cmd_nucleation(args) -> int:
+def _cmd_nucleation(args):
     rows = []
     for p in _float_list(args.p):
         leading, second = nucleation_closed_terms(p)
-        rows.append(
-            {
-                "p": p,
-                "log_sum": nucleation_log_prob_sum(p),
-                "leading": leading,
-                "second": second,
-                "closed_total": leading + second,
-            }
-        )
-    manifest = RunManifest("nucleation", {"p": args.p}, seed=None, threads=args.threads)
-    _emit(args, manifest, ["p", "log_sum", "leading", "second", "closed_total"], rows)
-    return 0
+        rows.append((p, nucleation_log_prob_sum(p), leading, second, leading + second))
+    return {"p": args.p}, ["p", "log_sum", "leading", "second", "closed_total"], rows
 
 
-def _cmd_scaling(args) -> int:
+def _cmd_scaling(args):
     family = RuleFamily.parse(args.family)
     rows = []
     for ln_v in _float_list(args.lnv):
@@ -378,47 +275,21 @@ def _cmd_scaling(args) -> int:
             window = epsilon_window(family, ln_v, prefactor=args.prefactor)
         except ValueError:
             window = ""
-        rows.append({"family": family.name, "lnv": ln_v, "pc_leading": pc, "window": window})
-    manifest = RunManifest(
-        "scaling",
-        {"family": family.name, "lnv": args.lnv, "C": args.C, "prefactor": args.prefactor},
-        seed=None,
-        threads=args.threads,
-    )
-    _emit(args, manifest, ["family", "lnv", "pc_leading", "window"], rows)
-    return 0
+        rows.append((family.name, ln_v, pc, window))
+    params = {"family": family.name, "lnv": args.lnv, "C": args.C, "prefactor": args.prefactor}
+    return params, ["family", "lnv", "pc_leading", "window"], rows
 
 
-def _cmd_invert(args) -> int:
+def _cmd_invert(args):
     model = _scaling_model(args)
     rows = []
     for ln_v in _float_list(args.lnv):
         p_numeric = invert_numeric(ln_v, model)
         terms = pc_expansion(ln_v, model)
-        rows.append(
-            {
-                "lnv": ln_v,
-                "p_numeric": p_numeric,
-                "term1": terms.term1,
-                "term2": terms.term2,
-                "term3": terms.term3,
-                "total": terms.total,
-                "residual": expansion_residual(ln_v, model),
-            }
-        )
-    manifest = RunManifest(
-        "invert",
-        {"lnv": args.lnv, "family": args.family, "C": args.C, "Cprime": args.Cprime},
-        seed=None,
-        threads=args.threads,
-    )
-    _emit(
-        args,
-        manifest,
-        ["lnv", "p_numeric", "term1", "term2", "term3", "total", "residual"],
-        rows,
-    )
-    return 0
+        residual = expansion_residual(ln_v, model)
+        rows.append((ln_v, p_numeric, terms.term1, terms.term2, terms.term3, terms.total, residual))
+    params = {"lnv": args.lnv, "family": args.family, "C": args.C, "Cprime": args.Cprime}
+    return params, ["lnv", "p_numeric", "term1", "term2", "term3", "total", "residual"], rows
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +313,7 @@ def _add_common(sub, seed: bool = True, formats: tuple[str, ...] = ("csv", "json
     sub.add_argument(
         "--threads",
         type=_thread_count,
-        default=_default_threads(),
+        default=os.environ.get("BOOTGRID_THREADS", "1"),  # checked by _thread_count too
         help="worker threads (default $BOOTGRID_THREADS or 1); never changes results",
     )
     if seed:
@@ -536,10 +407,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        params, columns, rows = args.func(args)
+        manifest = RunManifest(args.subcommand, params, getattr(args, "seed", None), args.threads)
+        _write(args, manifest, columns, rows)
     except Exception as exc:  # runtime failure: report, exit 1
         print(f"bootgrid: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from math import comb, exp, expm1, log1p
 import numpy as np
 
 from .lattice import GridSpec
-from .montecarlo import Estimate, subset_success_counts
+from .montecarlo import Estimate, draw_occupancy, subset_success_counts
 from .rng import Stream
 from .rules import RuleFamily, closure_batch, make_rule
 
@@ -160,7 +160,8 @@ def estimate_growth_mc(spec: GrowthEventSpec, p: float, trials: int, seed: int) 
 
     Helper cell ``c`` of trial ``i`` uses uniform ``c`` of substream
     ``(seed, domain, i)``, so results do not depend on how trials are
-    chunked.
+    chunked.  Helper uniforms are drawn and thresholded about 2^16 at a
+    time by :func:`bootgrid.montecarlo.draw_occupancy`.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -173,7 +174,7 @@ def estimate_growth_mc(spec: GrowthEventSpec, p: float, trials: int, seed: int) 
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
         occ = np.ones((m, grid.cells), dtype=bool)
-        occ[:, helpers] = root.uniform_block(start, m, len(helpers)) < p
+        occ[:, helpers] = draw_occupancy(root, start, m, len(helpers), p)
         closed = closure_batch(occ.reshape((m,) + grid.shape), _ONE_TWO)
         successes += int(closed.reshape(m, -1)[:, targets].all(axis=1).sum())
     mean = successes / trials

@@ -27,6 +27,7 @@ from .rng import Stream, derive_seed
 from .rules import (
     Rule,
     RuleFamily,
+    _check_dimensions,
     closure_batch,
     closure_fast,
     closure_lanes,
@@ -86,21 +87,27 @@ def _chunk_size(cells: int, trials: int, threads: int) -> int:
     return 64 * min(units, -(-trials // (64 * max(threads, 1))))
 
 
-def _trial_block_successes(
-    rule: Rule, grid: GridSpec, p: float, root: Stream, start: int, m: int
-) -> int:
-    """Number of filling trials among trial indices [start, start+m).
+def draw_occupancy(root: Stream, start: int, m: int, cells: int, p: float) -> np.ndarray:
+    """Occupancy of trials [start, start+m): ``occ[i, c]`` is uniform ``c``
+    of substream ``start + i`` of ``root`` below p.
 
     Uniforms are drawn about 2^16 at a time and thresholded into one
     boolean stack, so a block of many small grids holds no large float
     array."""
-    cells = grid.cells
     occ = np.empty((m, cells), dtype=bool)
     per_draw = max(1, (1 << 16) // cells)
     for s in range(0, m, per_draw):
         k = min(per_draw, m - s)
         np.less(root.uniform_block(start + s, k, cells), p, out=occ[s : s + k])
-    occ = occ.reshape((m,) + grid.shape)
+    return occ
+
+
+def _trial_block_successes(
+    rule: Rule, grid: GridSpec, p: float, root: Stream, start: int, m: int
+) -> int:
+    """Number of filling trials among trial indices [start, start+m)."""
+    cells = grid.cells
+    occ = draw_occupancy(root, start, m, cells, p).reshape((m,) + grid.shape)
     if cells <= _BATCH_CELL_LIMIT:
         closed = closure_batch(occ, rule, periodic=grid.periodic)
         return int(closed.reshape(m, -1).all(axis=1).sum())
@@ -124,6 +131,7 @@ def fill_probability(
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_dimensions(grid, rule)
     root = Stream((seed, _STREAM_DOMAIN))
     chunk = _chunk_size(grid.cells, trials, threads)
     starts = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
@@ -177,6 +185,7 @@ def subset_success_counts(
     word ``g`` are counted by popcount once per lane class (the lanes
     ``j`` of one popcount).
     """
+    _check_dimensions(grid, rule)
     m = len(free)
     words = max(1, (1 << m) // 64)
     # A block is a power of two of words, about 2^14 words over all its

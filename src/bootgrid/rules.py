@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Configuration
+from .lattice import Configuration, GridSpec
 
 FAMILY_KINDS = ("standard", "modified", "one_two", "one_b", "duarte", "abc")
 
@@ -213,10 +213,10 @@ def make_rule(family: RuleFamily) -> Rule:
     raise ValueError(f"unknown family kind {family.kind!r}")
 
 
-def _check_dimensions(config: Configuration, rule: Rule) -> None:
-    if config.grid.ndim != rule.dimension:
+def _check_dimensions(grid: GridSpec, rule: Rule) -> None:
+    if grid.ndim != rule.dimension:
         raise ValueError(
-            f"rule dimension {rule.dimension} does not match grid dimension {config.grid.ndim}"
+            f"rule dimension {rule.dimension} does not match grid dimension {grid.ndim}"
         )
 
 
@@ -286,7 +286,7 @@ def _modified_predicate(occ: np.ndarray, rule: Rule, periodic: bool) -> np.ndarr
 def step(config: Configuration, rule: Rule) -> tuple[Configuration, int]:
     """One synchronous update.  Returns the new configuration and the
     number of newly occupied cells."""
-    _check_dimensions(config, rule)
+    _check_dimensions(config.grid, rule)
     occ = config.cells
     periodic = config.grid.periodic
     if rule.kind == "threshold":
@@ -362,7 +362,7 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     source row that changed in the last step are gathered and stepped;
     the loop ends when no row changes.
     """
-    _check_dimensions(config, rule)
+    _check_dimensions(config.grid, rule)
     grid = config.grid
     periodic = grid.periodic
     lz, ly, lx = (1, 1, *grid.shape)[-3:]

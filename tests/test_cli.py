@@ -1,4 +1,5 @@
 import json
+from datetime import datetime
 
 import pytest
 
@@ -284,6 +285,19 @@ class TestExitCodes:
                              "--p", "0.5")
         assert code == 1
 
+    @pytest.mark.parametrize("dims", ["4;4,4", "4,4;4", "4,4;4,4,4"])
+    def test_sweep_refuses_dims_group_of_wrong_dimension_before_estimating(
+        self, monkeypatch, capsys, dims
+    ):
+        def estimate_anyway(*_args, **_kwargs):
+            raise AssertionError("fill_probability ran before every dims group was checked")
+
+        monkeypatch.setattr("bootgrid.montecarlo.fill_probability", estimate_anyway)
+        code, out, err = run_cli(capsys, "sweep", "--rule", "standard2", "--dims", dims,
+                                 "--p", "0.5", "--trials", "10")
+        assert code == 1
+        assert "family standard2 is 2-dimensional" in err and out == ""
+
 
 class TestThreadsEnv:
     def test_env_default(self, monkeypatch, capsys):
@@ -298,3 +312,124 @@ class TestThreadsEnv:
                             "--p", "0.5", "--trials", "100", "--seed", "1",
                             "--threads", "2")
         assert "# threads: 2" in out
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", ""])
+    def test_bad_env_value_is_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("BOOTGRID_THREADS", value)
+        code, out, err = run_cli(capsys, "fill", "--rule", "standard2", "--L", "4",
+                                 "--p", "0.5", "--trials", "10")
+        assert code == 2
+        assert "--threads" in err and out == ""
+
+    def test_explicit_flag_wins_over_bad_env_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("BOOTGRID_THREADS", "two")
+        code, out, _ = run_cli(capsys, "fill", "--rule", "standard2", "--L", "4",
+                               "--p", "0.5", "--trials", "10", "--threads", "2")
+        assert code == 0
+        assert "# threads: 2" in out
+
+
+class _FrozenClock(datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2001, 2, 3, 4, 5, 6, tzinfo=tz)
+
+
+# A small run of every table subcommand, and the same run made to fail at
+# run time (after parsing).
+TABLE_RUNS = {
+    "fill": (["fill", "--rule", "12", "--L", "5", "--p", "0.2,0.6", "--trials", "70",
+              "--seed", "3"], ["--p", "0.2,1.5"]),
+    "pc": (["pc", "--rule", "standard2", "--L", "4", "--trials", "20", "--tol", "0.05",
+            "--seed", "2"], ["--tol", "0"]),
+    "sweep": (["sweep", "--rule", "standard2", "--dims", "4,4;5,3", "--p", "0.3,0.5",
+               "--trials", "40", "--seed", "9"], ["--trials", "0"]),
+    "growth": (["growth", "--event", "north_rows", "--size", "3", "--p", "0.1,0.4",
+                "--trials", "100", "--seed", "5"], ["--p", "nan"]),
+    "nucleation": (["nucleation", "--p", "1e-4,1e-6"], ["--p", ","]),
+    "scaling": (["scaling", "--family", "12", "--lnv", "1e6,50"], ["--lnv", ","]),
+    "invert": (["invert", "--family", "12", "--lnv", "1e6,1e8"], ["--lnv", ","]),
+}
+MANIFEST_KEYS = ["subcommand", "params", "seed", "threads", "version", "timestamp"]
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    monkeypatch.setattr("bootgrid.cli.datetime", _FrozenClock)
+
+
+def _csv_value(v) -> str:
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+@pytest.mark.usefixtures("frozen_clock")
+@pytest.mark.parametrize("name", list(TABLE_RUNS))
+class TestWriterContract:
+    """Every table subcommand goes through the one manifest and writer."""
+
+    def test_json_mirrors_csv(self, capsys, name):
+        argv = TABLE_RUNS[name][0]
+        code, csv_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(json_out)
+        manifest = doc["manifest"]
+        assert list(manifest) == MANIFEST_KEYS
+        assert manifest["subcommand"] == name
+        assert manifest["seed"] == (int(argv[-1]) if "--seed" in argv else None)
+        assert manifest["timestamp"] == "2001-02-03T04:05:06+00:00"
+        comments = [ln for ln in csv_out.splitlines() if ln.startswith("#")]
+        assert comments == [
+            f"# bootgrid {manifest['version']}",
+            f"# subcommand: {name}",
+            f"# params: {json.dumps(manifest['params'], sort_keys=True)}",
+            f"# seed: {manifest['seed']}",
+            f"# threads: {manifest['threads']}",
+            f"# timestamp: {manifest['timestamp']}",
+        ]
+        header, *rows = data_lines(csv_out)
+        assert rows and len(rows) == len(doc["rows"])
+        for line, row in zip(rows, doc["rows"]):
+            assert list(row) == header.split(",")
+            assert ",".join(_csv_value(v) for v in row.values()) == line
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_gets_the_stdout_bytes(self, tmp_path, capsys, name, fmt):
+        argv = [*TABLE_RUNS[name][0], "--format", fmt]
+        _, stdout, _ = run_cli(capsys, *argv)
+        dst = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(dst))
+        assert code == 0 and out == ""
+        assert dst.read_bytes() == stdout.encode()
+
+    def test_failed_run_leaves_no_out_file(self, tmp_path, capsys, name):
+        argv, bad = TABLE_RUNS[name]
+        dst = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, *bad, "--out", str(dst))
+        assert code == 1
+        assert "bootgrid: error:" in err and out == ""
+        assert not dst.exists()
+
+
+@pytest.mark.usefixtures("frozen_clock")
+class TestCloseWriter:
+    def test_out_file_gets_the_stdout_bytes(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("dims: 4 3\nboundary: open\n0100\n0010\n0001\n")
+        _, stdout, _ = run_cli(capsys, "close", "--rule", "12", "--in", str(src))
+        assert stdout.startswith("# bootgrid ") and "# timestamp: 2001-02-03" in stdout
+        dst = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, "close", "--rule", "12", "--in", str(src),
+                               "--out", str(dst))
+        assert code == 0 and out == ""
+        assert dst.read_bytes() == stdout.encode()
+
+    def test_failed_run_leaves_no_out_file(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("dims: 4 1\nboundary: open\n0120\n")
+        dst = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, "close", "--rule", "12", "--in", str(src),
+                               "--out", str(dst))
+        assert code == 1 and out == ""
+        assert not dst.exists()

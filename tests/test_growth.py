@@ -9,6 +9,7 @@ from bootgrid import (
     GrowthEventSpec,
     Rect,
     RuleFamily,
+    Stream,
     closure_batch,
     closure_naive,
     column_growth_polynomial,
@@ -191,6 +192,17 @@ class TestGrowthMonteCarlo:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             estimate_growth_mc(GrowthEventSpec("east_column", 3), 1.2, 10, seed=0)
+
+    def test_draw_in_several_parts_matches_one_draw(self):
+        # 20 helpers: uniforms are drawn 3276 trials at a time, so 7000
+        # trials take three draws.  The column fills exactly when some
+        # helper is occupied.
+        from bootgrid.growth import _STREAM_DOMAIN
+
+        est = estimate_growth_mc(GrowthEventSpec("east_column", 20), 0.01, 7000, seed=3)
+        occupied = Stream((3, _STREAM_DOMAIN)).uniform_block(0, 7000, 20) < 0.01
+        assert 0 < est.mean < 1
+        assert est.mean == occupied.any(axis=1).sum() / 7000
 
 
 class TestHorizontalStepProbability:

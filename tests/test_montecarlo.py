@@ -306,6 +306,34 @@ class TestEstimatePc:
         assert b.mean <= a.mean + a.stderr + b.stderr + noise
 
 
+class TestDimensionMismatch:
+    """A grid whose dimension differs from the rule's is refused on every
+    path, whatever its size: the lane kernel would read a batch axis as a
+    grid axis and return made-up numbers."""
+
+    MESSAGE = "rule dimension 2 does not match grid dimension 1"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fill_probability(STD2, GridSpec((4,)), 0.5, 10, seed=0),
+            lambda: fill_probability(STD2, GridSpec((5000,)), 0.5, 2, seed=0),
+            lambda: fill_success_counts(STD2, GridSpec((4,))),
+            lambda: subset_success_counts(STD2, GridSpec((4,)), np.arange(4), np.arange(4)),
+            lambda: estimate_pc(STD2, GridSpec((8,)), p_tolerance=0.1, trials_per_probe=10),
+            lambda: sweep(RuleFamily.standard(2), [(4, 4), (4,)], [0.5], trials=10, seed=0),
+        ],
+        ids=["fill", "fill_per_trial", "exact_counts", "subsets", "pc", "sweep"],
+    )
+    def test_lower_dimensional_grid_is_refused(self, call):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            call()
+
+    def test_higher_dimensional_grid_is_refused(self):
+        with pytest.raises(ValueError, match="rule dimension 1 does not match grid dimension 2"):
+            fill_probability_exact(make_rule(RuleFamily.standard(1)), GridSpec((2, 2)), 0.5)
+
+
 class TestSweep:
     def test_deterministic_and_ordered(self):
         fam = RuleFamily.standard(2)
