@@ -60,7 +60,6 @@ from .rng import Stream, derive_seed
 from .rules import (
     Rule,
     RuleFamily,
-    closure,
     closure_batch,
     closure_fast,
     closure_lanes,
@@ -90,7 +89,6 @@ __all__ = [
     "bracketing_check",
     "bracketing_epsilon",
     "checkerboard_rect",
-    "closure",
     "closure_batch",
     "closure_fast",
     "closure_lanes",

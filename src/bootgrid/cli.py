@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -90,8 +91,25 @@ def _write(args, manifest: RunManifest, columns: list[str] | None, rows) -> None
                 out.write(",".join(cells) + "\n")
 
 
-def _float_list(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    p = float(text)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    return p
+
+
+def _float_list(text: str, parse=_finite_float) -> list[float]:
+    values = [parse(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
     return values
@@ -101,10 +119,7 @@ def _mc_p_list(text: str, trials: int) -> list[float]:
     """The ``--p`` list of a Monte Carlo subcommand.  Every value and the
     trial count are checked here, before any estimate runs, so a bad value
     late in the list is refused at once rather than after the others."""
-    p_list = _float_list(text)
-    for p in p_list:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+    p_list = _float_list(text, _probability)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return p_list
@@ -384,16 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("scaling", help="leading p_c and window width")
     sp.add_argument("--family", required=True)
     sp.add_argument("--lnv", required=True, help="comma-separated ln V values")
-    sp.add_argument("--C", type=float, default=None, help="leading constant override")
-    sp.add_argument("--prefactor", type=float, default=1.0)
+    sp.add_argument("--C", type=_finite_float, default=None, help="leading constant override")
+    sp.add_argument("--prefactor", type=_finite_float, default=1.0)
     _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_scaling)
 
     sp = subs.add_parser("invert", help="invert ln V_c and expand p_c(V)")
     sp.add_argument("--lnv", required=True)
     sp.add_argument("--family", default=None)
-    sp.add_argument("--C", type=float, default=None)
-    sp.add_argument("--Cprime", type=float, default=0.0)
+    sp.add_argument("--C", type=_finite_float, default=None)
+    sp.add_argument("--Cprime", type=_finite_float, default=0.0)
     _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_invert)
 

@@ -19,7 +19,9 @@ no helper cannot change the closure, so the grid leaves them out.
 Exact probabilities enumerate every helper configuration with
 :func:`bootgrid.montecarlo.subset_success_counts`, 64 configurations to a
 word of the shared lane kernel ``rules.closure_lanes``.  Monte Carlo
-closes a stack of trials of the same grid with ``rules.closure_batch``.
+draws its trials with the sampler that fill estimates use
+(:func:`bootgrid.montecarlo.sample_estimate`) and closes each block of
+trials of the same grid with ``rules.closure_batch``.
 Tests check both against full-grid closures by ``closure_naive``.
 """
 
@@ -32,8 +34,7 @@ from math import comb, exp, expm1, log1p
 import numpy as np
 
 from .lattice import GridSpec
-from .montecarlo import Estimate, draw_occupancy, subset_success_counts
-from .rng import Stream
+from .montecarlo import Estimate, sample_estimate, subset_success_counts
 from .rules import RuleFamily, closure_batch, make_rule
 
 COLUMN_MAX_HEIGHT = 20
@@ -160,26 +161,20 @@ def estimate_growth_mc(spec: GrowthEventSpec, p: float, trials: int, seed: int) 
 
     Helper cell ``c`` of trial ``i`` uses uniform ``c`` of substream
     ``(seed, domain, i)``, so results do not depend on how trials are
-    chunked.  Helper uniforms are drawn and thresholded about 2^16 at a
-    time by :func:`bootgrid.montecarlo.draw_occupancy`.
+    blocked.  :func:`bootgrid.montecarlo.sample_estimate` draws the helpers
+    of each block of trials; the rectangle cells are filled in around
+    them and the stack is closed by ``closure_batch``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     grid, helpers, targets = spec.layout()
-    root = Stream((seed, _STREAM_DOMAIN))
-    successes = 0
-    chunk = 1 << 16
-    for start in range(0, trials, chunk):
-        m = min(chunk, trials - start)
+
+    def realised(helper_occ: np.ndarray) -> int:
+        m = len(helper_occ)
         occ = np.ones((m, grid.cells), dtype=bool)
-        occ[:, helpers] = draw_occupancy(root, start, m, len(helpers), p)
+        occ[:, helpers] = helper_occ
         closed = closure_batch(occ.reshape((m,) + grid.shape), _ONE_TWO)
-        successes += int(closed.reshape(m, -1)[:, targets].all(axis=1).sum())
-    mean = successes / trials
-    stderr = (mean * (1.0 - mean) / trials) ** 0.5
-    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+        return int(closed.reshape(m, -1)[:, targets].all(axis=1).sum())
+
+    return sample_estimate(realised, len(helpers), p, trials, seed, _STREAM_DOMAIN)
 
 
 def horizontal_step_probability(p: float, n: float) -> float:
@@ -208,12 +203,3 @@ def horizontal_step_probability(p: float, n: float) -> float:
         return 0.0  # (1-p)^n is 1 to machine precision: no seeds to grow on
     log_hit = log1p(-exp(log_q))
     return exp(gap * log_hit)
-
-
-def stage_width(p: float, n: float) -> float:
-    """The horizontal stage width x_n = exp(n*p)/p used above."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    if n * p > 700.0:
-        raise OverflowError(f"exp(n*p) with n*p = {n * p:.3g} overflows a float")
-    return exp(n * p) / p

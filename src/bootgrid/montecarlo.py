@@ -11,12 +11,17 @@ consequences used throughout the tests:
   is a subset of its p2 configuration, so the fill indicator is monotone
   trial by trial, not just on average.
 
+One sampling loop, :func:`sample_estimate`, draws and counts the trials
+of fill estimates and of the growth events' Monte Carlo; each caller
+gives it only the test of whether a block of drawn trials succeeds.
+
 The threshold p_c(L) is located by bisection on p of the coupled fill
 curve, which is a nondecreasing step function once the seed is fixed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +47,9 @@ EXACT_MAX_CELLS = 20
 # word of the lane kernel; larger ones go through the row-packed closure
 # (closure_fast) one trial at a time.
 _BATCH_CELL_LIMIT = 4096
+
+# Uniforms a draw makes, at most or about (see draw_occupancy).
+_DRAW_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,31 +99,56 @@ def draw_occupancy(root: Stream, start: int, m: int, cells: int, p: float) -> np
     """Occupancy of trials [start, start+m): ``occ[i, c]`` is uniform ``c``
     of substream ``start + i`` of ``root`` below p.
 
-    Uniforms are drawn about 2^16 at a time and thresholded into one
-    boolean stack, so a block of many small grids holds no large float
-    array."""
+    Uniforms are drawn about 2^16 at a time, whole trials of a small grid
+    or pieces of one trial of a larger one, and thresholded into one
+    boolean stack, so no draw holds a large float array."""
     occ = np.empty((m, cells), dtype=bool)
-    per_draw = max(1, (1 << 16) // cells)
+    per_draw, piece = max(1, _DRAW_SIZE // cells), min(cells, _DRAW_SIZE)
     for s in range(0, m, per_draw):
         k = min(per_draw, m - s)
-        np.less(root.uniform_block(start + s, k, cells), p, out=occ[s : s + k])
+        for c in range(0, cells, piece):
+            n = min(piece, cells - c)
+            np.less(root.uniform_block(start + s, k, n, c), p, out=occ[s : s + k, c : c + n])
     return occ
 
 
-def _trial_block_successes(
-    rule: Rule, grid: GridSpec, p: float, root: Stream, start: int, m: int
-) -> int:
-    """Number of filling trials among trial indices [start, start+m)."""
-    cells = grid.cells
-    occ = draw_occupancy(root, start, m, cells, p).reshape((m,) + grid.shape)
-    if cells <= _BATCH_CELL_LIMIT:
-        closed = closure_batch(occ, rule, periodic=grid.periodic)
-        return int(closed.reshape(m, -1).all(axis=1).sum())
-    successes = 0
-    for i in range(m):
-        cfg = Configuration(grid, occ[i])
-        successes += closure_fast(cfg, rule).is_full()
-    return successes
+def sample_estimate(
+    count_successes: Callable[[np.ndarray], int],
+    cells: int,
+    p: float,
+    trials: int,
+    seed: int,
+    domain: int,
+    threads: int = 1,
+) -> Estimate:
+    """Fraction of ``trials`` p-random trials of ``cells`` cells that succeed.
+
+    Trial ``i`` is cell ``c`` occupied when uniform ``c`` of substream
+    ``(seed, domain, i)`` is below p.  Trials are drawn in blocks by
+    :func:`draw_occupancy`, and ``count_successes`` gets each block's
+    ``(m, cells)`` boolean stack and returns how many of its m trials
+    succeed.  Blocks are sized by :func:`_chunk_size` and, with
+    ``threads > 1``, counted on a thread pool; neither changes a number.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    root = Stream((seed, domain))
+    chunk = _chunk_size(cells, trials, threads)
+
+    def block(start: int) -> int:
+        return count_successes(draw_occupancy(root, start, min(chunk, trials - start), cells, p))
+
+    starts = range(0, trials, chunk)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            successes = sum(pool.map(block, starts))
+    else:
+        successes = sum(map(block, starts))
+    mean = successes / trials
+    stderr = (mean * (1.0 - mean) / trials) ** 0.5
+    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
 
 
 def fill_probability(
@@ -127,25 +160,17 @@ def fill_probability(
     threads: int = 1,
 ) -> Estimate:
     """Fraction of trials whose closure is the full grid."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     _check_dimensions(grid, rule)
-    root = Stream((seed, _STREAM_DOMAIN))
-    chunk = _chunk_size(grid.cells, trials, threads)
-    starts = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(
-                pool.map(lambda sm: _trial_block_successes(rule, grid, p, root, *sm), starts)
-            )
-        successes = sum(counts)
-    else:
-        successes = sum(_trial_block_successes(rule, grid, p, root, s, m) for s, m in starts)
-    mean = successes / trials
-    stderr = (mean * (1.0 - mean) / trials) ** 0.5
-    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+
+    def filled(occ: np.ndarray) -> int:
+        m = len(occ)
+        occ = occ.reshape((m,) + grid.shape)
+        if grid.cells <= _BATCH_CELL_LIMIT:
+            closed = closure_batch(occ, rule, periodic=grid.periodic)
+            return int(closed.reshape(m, -1).all(axis=1).sum())
+        return sum(closure_fast(Configuration(grid, trial), rule).is_full() for trial in occ)
+
+    return sample_estimate(filled, grid.cells, p, trials, seed, _STREAM_DOMAIN, threads)
 
 
 def fill_success_counts(rule: Rule, grid: GridSpec) -> np.ndarray:
@@ -265,6 +290,11 @@ def estimate_pc(
     if not 0.0 < p_tolerance < 1.0:
         # At 1 or more no probe would run and there would be no trials to report.
         raise ValueError(f"p_tolerance must lie strictly between 0 and 1, got {p_tolerance}")
+    if p_tolerance < 2**-53:
+        # Below the spacing of doubles under 1, a bracket of two adjacent
+        # doubles would be wider than the tolerance and its midpoint one
+        # of its ends, so the bisection would never end.
+        raise ValueError(f"p_tolerance must be at least 2**-53, got {p_tolerance}")
     lo, hi = 0.0, 1.0
     total_trials = 0
     while hi - lo > p_tolerance:

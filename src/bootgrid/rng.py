@@ -81,17 +81,21 @@ class Stream:
         bits = _mix_array(base ^ ctr)
         return (bits >> np.uint64(11)) * 2.0**-53
 
-    def uniform_block(self, first_child: int, n_children: int, count: int) -> np.ndarray:
-        """Uniforms for ``n_children`` consecutive substreams at once.
+    def uniform_block(
+        self, first_child: int, n_children: int, count: int, first: int = 0
+    ) -> np.ndarray:
+        """Uniforms ``first .. first + count`` of ``n_children`` consecutive
+        substreams at once.
 
-        Row ``i`` is bit-identical to ``self.child(first_child + i).uniforms(count)``,
-        which is what allows trial loops to be vectorised without changing
-        any trial's numbers.
+        Row ``i`` is bit-identical to
+        ``self.child(first_child + i).uniforms(first + count)[first:]``, which
+        is what allows trial loops to be vectorised, and a long stream to be
+        drawn in pieces, without changing any trial's numbers.
         """
         base = np.uint64(_hash_key(self.key))
         kids = base ^ (np.arange(first_child, first_child + n_children, dtype=np.uint64))
         kid_hashes = _mix_array(kids)
-        ctr = np.arange(count, dtype=np.uint64)
+        ctr = np.arange(first, first + count, dtype=np.uint64)
         bits = _mix_array(kid_hashes[:, None] ^ ctr[None, :])
         bits >>= np.uint64(11)
         return bits * 2.0**-53

@@ -152,8 +152,9 @@ class Rule:
 
     ``offsets`` are neighbour positions relative to the cell, as (x, y[, z])
     tuples.  For ``threshold`` rules the predicate is
-    ``occupied offsets >= theta``; for ``modified`` the offsets are the unit
-    vectors and the predicate is per-axis.
+    ``occupied offsets >= theta``; for ``modified`` the offsets must be the
+    unit vectors, +1 then -1 on each axis in turn, and the predicate is
+    per-axis.
     """
 
     kind: str
@@ -175,26 +176,32 @@ class Rule:
             seen.add(off)
         if self.kind == "threshold" and not 1 <= self.theta <= len(self.offsets):
             raise ValueError(f"theta {self.theta} outside 1..{len(self.offsets)}")
+        if self.kind == "modified" and self.offsets != _axis_units(self.dimension):
+            raise ValueError(
+                f"modified offsets must be the unit vectors {_axis_units(self.dimension)}, "
+                f"got {self.offsets}"
+            )
 
 
-def _axis_units(d: int) -> list[tuple[int, ...]]:
+def _axis_units(d: int) -> tuple[tuple[int, ...], ...]:
+    """The unit vectors of ``d`` axes, +1 then -1 on each axis in turn."""
     units = []
     for axis in range(d):
         for sign in (1, -1):
             off = [0] * d
             off[axis] = sign
             units.append(tuple(off))
-    return units
+    return tuple(units)
 
 
 def make_rule(family: RuleFamily) -> Rule:
     """Build the concrete rule for a family."""
     if family.kind == "standard":
         d = family.params[0]
-        return Rule("threshold", d, tuple(_axis_units(d)), d)
+        return Rule("threshold", d, _axis_units(d), d)
     if family.kind == "modified":
         d = family.params[0]
-        return Rule("modified", d, tuple(_axis_units(d)), d)
+        return Rule("modified", d, _axis_units(d), d)
     if family.kind == "one_two":
         return make_rule(RuleFamily.one_b(2))
     if family.kind == "one_b":
@@ -368,9 +375,8 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     lz, ly, lx = (1, 1, *grid.shape)[-3:]
     n_rows, width = lz * ly, -(-lx // 64)
 
-    offsets = rule.offsets if rule.kind == "threshold" else _axis_units(rule.dimension)
     groups: dict[tuple[int, int], list[int]] = {}  # (dy, dz) -> dx, in stencil order
-    for off in offsets:
+    for off in rule.offsets:
         dx, dy, dz = (*off, 0, 0)[:3]
         groups.setdefault((dy, dz), []).append(dx)
     z, y = np.divmod(np.arange(n_rows), ly)
@@ -383,7 +389,7 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
             inside = (ny >= 0) & (ny < ly) & (nz >= 0) & (nz < lz)
             sources.append(np.where(inside, nz * ly + ny, n_rows))
     sources = np.stack(sources)
-    shifts = [off[0] for off in offsets]
+    shifts = [off[0] for off in rule.offsets]
     if periodic:
         shifts = [k for dx in shifts for k in (dx % lx, dx % lx - lx)]
     start = max(0, *(-(k // 64) for k in shifts))  # zero words before the data
@@ -397,7 +403,7 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     board = octets.view(np.uint64)
     tail = np.uint64((1 << (lx - 64 * (width - 1))) - 1)  # live bits of the last word
 
-    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
+    digits = len(rule.offsets).bit_length() if rule.kind == "threshold" else 0
     scratch = np.empty((2 + digits, n_rows, width), dtype=np.uint64)
     changed = np.ones(n_rows + 1, dtype=bool)
     changed[n_rows] = False
@@ -424,11 +430,6 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
         changed[active[pred.any(axis=1)]] = True
     cells = np.unpackbits(octets[:n_rows, 8 * start :], axis=1, count=lx, bitorder="little")
     return Configuration(grid, cells.view(bool).reshape(grid.shape))
-
-
-def closure(config: Configuration, rule: Rule) -> Configuration:
-    """Alias for the production closure."""
-    return closure_fast(config, rule)
 
 
 def pack_lanes(bits: np.ndarray) -> np.ndarray:
@@ -541,19 +542,18 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
         return words.copy()
     shape = words.shape[words.ndim - d :]
     entries = words.reshape((-1,) + shape)
-    offsets = rule.offsets if rule.kind == "threshold" else _axis_units(d)
     # grid axis k is offset component d - 1 - k
-    reach = [max(abs(off[d - 1 - k]) for off in offsets) for k in range(d)]
+    reach = [max(abs(off[d - 1 - k]) for off in rule.offsets) for k in range(d)]
     before = reach if periodic else [0] * d
     padded_shape = tuple(n + b + a for n, b, a in zip(shape, before, reach))
     size = int(np.prod(padded_shape))  # words of one entry in the flat array
     strides = [int(np.prod(padded_shape[k + 1 :])) for k in range(d)]
-    shifts = [sum(off[d - 1 - k] * strides[k] for k in range(d)) for off in offsets]
+    shifts = [sum(off[d - 1 - k] * strides[k] for k in range(d)) for off in rule.offsets]
     margin = max(abs(sh) for sh in shifts)
     inner = tuple(slice(b, b + n) for b, n in zip(before, shape))
 
     live = np.arange(len(entries))  # result index of each entry still stepped
-    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
+    digits = len(rule.offsets).bit_length() if rule.kind == "threshold" else 0
     scratch = np.empty((2 + digits, live.size * size), dtype=np.uint64)
     flat = np.zeros(live.size * size + 2 * margin, dtype=np.uint64)
     padded = flat[margin : margin + live.size * size].reshape((-1,) + padded_shape)

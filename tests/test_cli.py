@@ -276,6 +276,29 @@ class TestExitCodes:
         assert code == 1
         assert "expected a comma-separated list of numbers" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["scaling", "--family", "12", "--lnv", "inf"], 1),
+            (["scaling", "--family", "12", "--lnv", "1e6,nan"], 1),
+            (["nucleation", "--p", "1e-4,-inf"], 1),
+            (["invert", "--C", "1", "--lnv", "inf"], 1),
+            (["scaling", "--family", "12", "--lnv", "1e6", "--C", "nan"], 2),
+            (["scaling", "--family", "12", "--lnv", "1e6", "--prefactor", "nan"], 2),
+            (["scaling", "--family", "12", "--lnv", "1e6", "--C", "inf"], 2),
+            (["invert", "--C", "1", "--Cprime", "nan", "--lnv", "100"], 2),
+            (["invert", "--C=-inf", "--lnv", "100"], 2),
+            (["invert", "--C", "one", "--lnv", "100"], 2),
+        ],
+    )
+    def test_non_finite_number_is_refused(self, capsys, argv, code):
+        # Most of these printed a row of nan with exit 0.  A list value is
+        # refused at run time (exit 1), a single-number flag by the parser
+        # (exit 2).
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert "expected a finite number" in err and out == ""
+
     def test_missing_grid_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, "fill", "--rule", "standard2", "--p", "0.5")
         assert code == 1

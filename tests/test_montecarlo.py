@@ -19,7 +19,8 @@ from bootgrid import (
     random_configuration,
     sweep,
 )
-from bootgrid.montecarlo import subset_success_counts
+from bootgrid import GrowthEventSpec, estimate_growth_mc
+from bootgrid.montecarlo import draw_occupancy, sample_estimate, subset_success_counts
 
 STD2 = make_rule(RuleFamily.standard(2))
 
@@ -151,6 +152,65 @@ class TestFillProbability:
         a = fill_probability(STD2, grid, 0.30, 4000, seed=11)
         b = fill_probability(STD2, grid, 0.35, 4000, seed=11)
         assert a.mean <= b.mean  # exact, by coupling
+
+
+class TestSampleEstimate:
+    """The one sampling loop behind fill and growth estimates."""
+
+    @staticmethod
+    def all_occupied(occ):
+        return int(occ.all(axis=1).sum())
+
+    def test_counts_match_a_per_trial_reconstruction(self, monkeypatch):
+        import bootgrid.montecarlo as mc
+
+        root = Stream((5, 77))
+        want = sum(bool((root.child(i).uniforms(3) < 0.6).all()) for i in range(500))
+        est = sample_estimate(self.all_occupied, 3, 0.6, 500, seed=5, domain=77)
+        assert est == Estimate(want / 500, (want / 500 * (1 - want / 500) / 500) ** 0.5, 500, 5)
+        monkeypatch.setattr(mc, "_chunk_size", lambda *args: 64)
+        assert sample_estimate(self.all_occupied, 3, 0.6, 500, seed=5, domain=77, threads=3) == est
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, t: sample_estimate(lambda occ: 0, 4, p, t, seed=0, domain=1),
+            lambda p, t: fill_probability(STD2, GridSpec((4, 4)), p, t, seed=0),
+            lambda p, t: estimate_growth_mc(GrowthEventSpec("north_rows", 3), p, t, seed=0),
+        ],
+        ids=["sampler", "fill", "growth"],
+    )
+    def test_p_is_checked_before_trials(self, call):
+        for p in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+                call(p, 0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            call(0.5, 0)
+
+
+class TestDrawOccupancy:
+    def test_counter_range_matches_the_whole_stream(self):
+        root = Stream((8, 3))
+        whole = root.uniform_block(4, 3, 150)
+        assert np.array_equal(root.uniform_block(4, 3, 100, 50), whole[:, 50:])
+        assert np.array_equal(root.uniform_block(4, 3, 150, 0), whole)
+        assert np.array_equal(whole[1], root.child(5).uniforms(150))
+
+    def test_large_trial_is_drawn_in_bounded_pieces(self, monkeypatch):
+        # A trial of more than 2^16 cells is drawn in pieces of at most 2^16
+        # uniforms, bit-identical to drawing each trial at once.
+        cells, root = (1 << 16) + 1000, Stream((2, 9))
+        want = root.uniform_block(3, 2, cells) < 0.3
+        sizes = []
+        draw = Stream.uniform_block
+
+        def spy(self, first_child, n_children, count, first=0):
+            sizes.append(n_children * count)
+            return draw(self, first_child, n_children, count, first)
+
+        monkeypatch.setattr(Stream, "uniform_block", spy)
+        assert np.array_equal(draw_occupancy(root, 3, 2, cells, 0.3), want)
+        assert sizes == [1 << 16, 1000, 1 << 16, 1000]
 
 
 class TestFillExact:
@@ -285,6 +345,28 @@ class TestEstimatePc:
         for tol in (1.0, 2.0, -0.5):  # at 1 or more no probe would run
             with pytest.raises(ValueError, match="p_tolerance"):
                 estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=tol)
+
+    def test_refuses_tolerance_below_double_spacing(self, monkeypatch):
+        # Below 2**-53 the bracket can reach two adjacent doubles wider
+        # than the tolerance, and bisection would never end.  A counted
+        # fill_probability makes a run that does not stop fail instead.
+        import bootgrid.montecarlo as mc
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 60:
+                raise RuntimeError("estimate_pc made more than 60 probes")
+            return fill_probability(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "fill_probability", counted)
+        for tol in (1e-20, 2**-54):
+            with pytest.raises(ValueError, match=r"p_tolerance must be at least 2\*\*-53"):
+                estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=tol, trials_per_probe=4, seed=1)
+        assert not calls
+        est = estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=2**-53, trials_per_probe=4, seed=1)
+        assert est.stderr <= 2**-54 and len(calls) <= 60
 
     def test_trials_count_every_probe(self):
         est = estimate_pc(STD2, GridSpec((2, 2)), p_tolerance=0.3, trials_per_probe=50, seed=1)

@@ -79,6 +79,20 @@ class TestMakeRule:
         r = make_rule(RuleFamily.modified(3))
         assert r.kind == "modified" and len(r.offsets) == 6
 
+    @pytest.mark.parametrize(
+        "offsets",
+        [((5, 5),), ((1, 0), (-1, 0), (0, 1)), ((-1, 0), (1, 0), (0, 1), (0, -1))],
+        ids=["far", "missing_unit", "reordered"],
+    )
+    def test_modified_refuses_offsets_other_than_the_unit_vectors(self, offsets):
+        # The modified predicate reads the +1/-1 pair of each axis in turn;
+        # any other stencil would be closed as if it were that one.
+        with pytest.raises(ValueError, match="modified offsets must be the unit vectors"):
+            Rule("modified", 2, offsets, 1)
+        assert Rule("modified", 2, ((1, 0), (-1, 0), (0, 1), (0, -1)), 2) == make_rule(
+            RuleFamily.modified(2)
+        )
+
     def test_invalid_families(self):
         with pytest.raises(ValueError):
             RuleFamily.standard(4)
