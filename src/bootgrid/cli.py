@@ -265,7 +265,7 @@ def _cmd_growth(args):
     poly = growth_polynomial(spec)
     rows = []
     for p in p_list:
-        est = estimate_growth_mc(spec, p, args.trials, args.seed)
+        est = estimate_growth_mc(spec, p, args.trials, args.seed, args.threads)
         rows.append(
             (spec.direction, spec.size, p, poly.evaluate(p), est.mean, est.stderr, est.trials)
         )

@@ -16,10 +16,16 @@ that touch the helpers, held occupied; the random helper cells; and the
 target cells the event asks to be occupied.  Rectangle cells that touch
 no helper cannot change the closure, so the grid leaves them out.
 
-Exact probabilities enumerate every helper configuration with
+Exact probabilities count every helper configuration with
 :func:`bootgrid.montecarlo.subset_success_counts`, 64 configurations to a
-word of the shared lane kernel ``rules.closure_lanes``.  Monte Carlo
-draws its trials with the sampler that fill estimates use
+word of the shared lane kernel ``rules.closure_lanes``.  It closes only
+the words whose hits monotonicity leaves open, and the skip is exact:
+closure is monotone, the event (every target occupied) is an up-set, and
+the word of configurations ``g + n`` (``n`` a power of two above ``g``)
+is word ``g``'s with one more helper occupied in every lane, so it hits
+wherever word ``g`` hits.  A word that inherits hits in all 64 lanes is
+counted without a closure.  Monte Carlo draws its trials with the
+sampler that fill estimates use
 (:func:`bootgrid.montecarlo.sample_estimate`) and closes each block of
 trials of the same grid with ``rules.closure_batch``.
 Tests check both against full-grid closures by ``closure_naive``.
@@ -127,7 +133,7 @@ def _counts_to_polynomial(success_by_k: np.ndarray, m: int) -> GrowthPolynomial:
 
 def _success_counts(spec: GrowthEventSpec) -> np.ndarray:
     """success_by_k[k] = number of k-cell helper subsets whose closure
-    realises the growth event.  Exhaustive over all 2^cells subsets."""
+    realises the growth event, exact over all 2^cells subsets."""
     grid, helpers, targets = spec.layout()
     return subset_success_counts(_ONE_TWO, grid, helpers, targets)
 
@@ -156,14 +162,16 @@ def growth_polynomial(spec: GrowthEventSpec) -> GrowthPolynomial:
     return row_growth_polynomial(spec.size)
 
 
-def estimate_growth_mc(spec: GrowthEventSpec, p: float, trials: int, seed: int) -> Estimate:
+def estimate_growth_mc(
+    spec: GrowthEventSpec, p: float, trials: int, seed: int, threads: int = 1
+) -> Estimate:
     """Monte Carlo estimate of the same event as the exact polynomial.
 
     Helper cell ``c`` of trial ``i`` uses uniform ``c`` of substream
     ``(seed, domain, i)``, so results do not depend on how trials are
-    blocked.  :func:`bootgrid.montecarlo.sample_estimate` draws the helpers
-    of each block of trials; the rectangle cells are filled in around
-    them and the stack is closed by ``closure_batch``.
+    blocked or on ``threads``.  :func:`bootgrid.montecarlo.sample_estimate`
+    draws the helpers of each block of trials; the rectangle cells are
+    filled in around them and the stack is closed by ``closure_batch``.
     """
     grid, helpers, targets = spec.layout()
 
@@ -174,7 +182,7 @@ def estimate_growth_mc(spec: GrowthEventSpec, p: float, trials: int, seed: int) 
         closed = closure_batch(occ.reshape((m,) + grid.shape), _ONE_TWO)
         return int(closed.reshape(m, -1)[:, targets].all(axis=1).sum())
 
-    return sample_estimate(realised, len(helpers), p, trials, seed, _STREAM_DOMAIN)
+    return sample_estimate(realised, len(helpers), p, trials, seed, _STREAM_DOMAIN, threads)
 
 
 def horizontal_step_probability(p: float, n: float) -> float:

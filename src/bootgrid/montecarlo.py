@@ -204,49 +204,84 @@ def subset_success_counts(
     cell.
 
     ``free`` and ``target`` are flat cell indices; free cell ``free[h]``
-    corresponds to bit ``h`` of the subset index.  Exhaustive over all
+    corresponds to bit ``h`` of the subset index.  Exact over all
     2^len(free) subsets, 64 to a word of :func:`closure_lanes`.  Subset
     ``64 g + j`` has ``popcount(g) + popcount(j)`` cells, so the hits of
     word ``g`` are counted by popcount once per lane class (the lanes
     ``j`` of one popcount).
+
+    Only the words that monotonicity leaves open are closed.  Closure is
+    monotone (occupying more cells never empties one) and the event, every
+    target occupied, is an up-set, so a subset that hits makes each of its
+    supersets hit.  For ``n`` a power of two above ``g``, lane ``j`` of
+    word ``g + n`` is lane ``j`` of word ``g`` with free cell
+    ``6 + log2(n)`` also occupied, so word ``g + n``'s hits contain word
+    ``g``'s.  After the first block the words are walked in doubling
+    ranges ``[n, 2n)``, each starting from the hits of ``[0, n)``: a word
+    that already hits in all 64 lanes is counted without a closure, and
+    the others are gathered into full blocks and closed.  The counts are
+    those of closing every word.
     """
     _check_dimensions(grid, rule)
     m = len(free)
     words = max(1, (1 << m) // 64)
     # A block is a power of two of words, about 2^14 words over all its
-    # cells.  The word count is a power of two too, so whole blocks tile
-    # the 2^m subsets exactly and no block runs past the last one.
+    # cells.  The word count is a power of two too, so the first block and
+    # the doubling ranges after it tile the 2^m subsets exactly.
     block = min(words, 1 << max(0, ((1 << 14) // grid.cells).bit_length() - 1))
     # With m < 6 free cells word 0 is the only word and only its lanes below
     # 2^m are subsets; the others repeat them and must not be counted.
     lanes = min(1 << m, 64)
     classes = _LANE_CLASSES[: min(m, 6) + 1] & np.uint64((1 << lanes) - 1)
     counts = np.zeros(m + 1, dtype=np.int64)
-    for first in range(0, words, block):
-        planes = _subset_planes(first, block, grid.cells, free)
-        closed = closure_lanes(planes.reshape((block,) + grid.shape), rule, grid.periodic)
-        hits = np.bitwise_and.reduce(closed.reshape(block, -1)[:, target], axis=1)
-        high = _popcount(np.arange(first, first + block, dtype=np.uint64))[:, None]
-        np.add.at(counts, high + np.arange(len(classes)), _popcount(hits[:, None] & classes))
+    hits = np.empty(words, dtype=np.uint64)  # bit j of word g: subset 64 g + j hits
+
+    def close(g: np.ndarray) -> None:
+        planes = _subset_planes(g, grid.cells, free)
+        closed = closure_lanes(planes.reshape((len(g),) + grid.shape), rule, grid.periodic)
+        hit = hits[g] = np.bitwise_and.reduce(closed.reshape(len(g), -1)[:, target], axis=1)
+        high = _popcount(g)[:, None]
+        np.add.at(counts, high + np.arange(len(classes)), _popcount(hit[:, None] & classes))
+
+    close(np.arange(block, dtype=np.int64))
+    # Past the first block there are at least 2 words, so m > 6 and every
+    # lane is a subset: a word hitting in all of them adds C(6, c) subsets
+    # of popcount(g) + c cells, the popcount of lane class c.
+    per_class = _popcount(classes)
+    n = block
+    while n < words:  # the words [n, 2n)
+        pending = np.empty(0, dtype=np.int64)  # open words not yet closed
+        for first in range(n, 2 * n, block):
+            g = np.arange(first, first + block, dtype=np.int64)
+            hits[first : first + block] = hits[first - n : first - n + block]
+            full = hits[first : first + block] == ~np.uint64(0)
+            counts += np.convolve(np.bincount(_popcount(g[full]), minlength=m - 5), per_class)
+            pending = np.concatenate((pending, g[~full]))
+            if len(pending) >= block:
+                close(pending[:block])
+                pending = pending[block:]
+        if len(pending):
+            close(pending)
+        n *= 2
     return counts
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word: a byte table gives each byte's count,
+    """Set bits of each 64-bit word: a byte table gives each byte's count,
     and one multiply sums a word's eight byte counts into its top byte."""
     octets = np.take(_POPCOUNT8, np.ascontiguousarray(words).view(np.uint8))
     total = octets.view(np.uint64) * np.uint64(0x0101010101010101)
     return (total >> np.uint64(56)).astype(np.int64)
 
 
-def _subset_planes(first_word: int, n_words: int, cells: int, free: np.ndarray) -> np.ndarray:
+def _subset_planes(words: np.ndarray, cells: int, free: np.ndarray) -> np.ndarray:
     """Subset ``64 g + j`` of the free cells as lane ``j`` of word ``g``,
-    for words ``first_word`` on, every other cell occupied in every lane:
-    free cell ``h`` holds bit ``h`` of the subset index.  Below bit 6 that
-    bit depends on the lane only, a constant word; from bit 6 on it
-    depends on the word only, so the word is all ones or all zeros."""
-    g = np.arange(first_word, first_word + n_words, dtype=np.uint64)
-    planes = np.full((n_words, cells), ~np.uint64(0))
+    for each word index ``g`` in ``words``, every other cell occupied in
+    every lane: free cell ``h`` holds bit ``h`` of the subset index.  Below
+    bit 6 that bit depends on the lane only, a constant word; from bit 6 on
+    it depends on the word only, so the word is all ones or all zeros."""
+    g = np.asarray(words).astype(np.uint64)
+    planes = np.full((len(g), cells), ~np.uint64(0))
     for h, cell in enumerate(free):
         if h < 6:
             planes[:, cell] = _LANE_BITS[h]

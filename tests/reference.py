@@ -1,14 +1,19 @@
 """Independent per-cell reference implementations used as test oracles.
 
 Everything here is deliberately dumb: plain Python loops over coordinates,
-no numpy tricks shared with the production code.
+no numpy tricks shared with the production code.  The one exception is
+:func:`ref_subset_success_counts`, the enumeration that closes every word
+with the production lane kernel; it is the oracle for the work the
+production enumerator skips, not for the kernel, which the per-cell
+closures check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bootgrid import Configuration, GridSpec, Rule
+from bootgrid import Configuration, GridSpec, Rule, closure_lanes
+from bootgrid.rules import _check_dimensions
 
 
 def ref_count_occupied(config: Configuration) -> int:
@@ -134,3 +139,72 @@ def ref_from_text(text: str) -> Configuration:
         raise ValueError(f"body does not match dims {dims}")
     arr = np.array(rows, dtype=bool).reshape(grid.shape)
     return Configuration(grid, arr)
+
+
+# bit j of _LANE_BITS[h] is bit h of j, and bit j of _LANE_CLASSES[c] is set
+# when j has c bits set
+_LANE_BITS = np.array([sum(1 << j for j in range(64) if j >> h & 1) for h in range(6)], np.uint64)
+_LANE_CLASSES = np.array(
+    [sum(1 << j for j in range(64) if bin(j).count("1") == c) for c in range(7)], np.uint64
+)
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def ref_subset_success_counts(
+    rule: Rule, grid: GridSpec, free: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """counts[k] = number of k-cell subsets of the ``free`` cells whose
+    closure, with every other cell held occupied, occupies every ``target``
+    cell.
+
+    The close-every-word enumeration: all 2^len(free) subsets, 64 to a word
+    of ``closure_lanes``, every word closed.  It is the oracle for
+    ``bootgrid.montecarlo.subset_success_counts``, which skips words whose
+    hits monotonicity already decides.  Subset ``64 g + j`` has
+    ``popcount(g) + popcount(j)`` cells, so the hits of word ``g`` are
+    counted by popcount once per lane class (the lanes ``j`` of one
+    popcount).
+    """
+    _check_dimensions(grid, rule)
+    m = len(free)
+    words = max(1, (1 << m) // 64)
+    # A block is a power of two of words, about 2^14 words over all its
+    # cells.  The word count is a power of two too, so whole blocks tile
+    # the 2^m subsets exactly and no block runs past the last one.
+    block = min(words, 1 << max(0, ((1 << 14) // grid.cells).bit_length() - 1))
+    # With m < 6 free cells word 0 is the only word and only its lanes below
+    # 2^m are subsets; the others repeat them and must not be counted.
+    lanes = min(1 << m, 64)
+    classes = _LANE_CLASSES[: min(m, 6) + 1] & np.uint64((1 << lanes) - 1)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for first in range(0, words, block):
+        planes = _subset_planes(first, block, grid.cells, free)
+        closed = closure_lanes(planes.reshape((block,) + grid.shape), rule, grid.periodic)
+        hits = np.bitwise_and.reduce(closed.reshape(block, -1)[:, target], axis=1)
+        high = _popcount(np.arange(first, first + block, dtype=np.uint64))[:, None]
+        np.add.at(counts, high + np.arange(len(classes)), _popcount(hits[:, None] & classes))
+    return counts
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word: a byte table gives each byte's count,
+    and one multiply sums a word's eight byte counts into its top byte."""
+    octets = np.take(_POPCOUNT8, np.ascontiguousarray(words).view(np.uint8))
+    total = octets.view(np.uint64) * np.uint64(0x0101010101010101)
+    return (total >> np.uint64(56)).astype(np.int64)
+
+
+def _subset_planes(first_word: int, n_words: int, cells: int, free: np.ndarray) -> np.ndarray:
+    """Subset ``64 g + j`` of the free cells as lane ``j`` of word ``g``,
+    for words ``first_word`` on, every other cell occupied in every lane:
+    free cell ``h`` holds bit ``h`` of the subset index.  Below bit 6 that
+    bit depends on the lane only, a constant word; from bit 6 on it
+    depends on the word only, so the word is all ones or all zeros."""
+    g = np.arange(first_word, first_word + n_words, dtype=np.uint64)
+    planes = np.full((n_words, cells), ~np.uint64(0))
+    for h, cell in enumerate(free):
+        if h < 6:
+            planes[:, cell] = _LANE_BITS[h]
+        else:
+            planes[:, cell] = np.uint64(0) - ((g >> np.uint64(h - 6)) & np.uint64(1))
+    return planes

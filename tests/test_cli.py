@@ -79,6 +79,28 @@ class TestDeterminism:
             outs.append(data_lines(out))
         assert outs[0] == outs[1] == outs[2]
 
+    def test_growth_identical_data_lines_across_threads(self, monkeypatch, capsys):
+        # 1000 trials are one block at --threads 1 and one block a thread
+        # above it; the rows must not depend on either.
+        import bootgrid.montecarlo as mc
+
+        args = ["growth", "--event", "north_rows", "--size", "4", "--p", "0.1,0.3",
+                "--trials", "1000", "--seed", "3"]
+        draw, draws = mc.draw_occupancy, []
+
+        def counted(*a):
+            draws.append(a[1])
+            return draw(*a)
+
+        monkeypatch.setattr(mc, "draw_occupancy", counted)
+        outs = {}
+        for t in (1, 2, 3):
+            draws.clear()
+            code, out, _ = run_cli(capsys, *args, "--threads", str(t))
+            assert code == 0 and len(draws) == 2 * t
+            outs[t] = data_lines(out)
+        assert outs[1] == outs[2] == outs[3]
+
     def test_manifest_present(self, capsys):
         _, out, _ = run_cli(capsys, *self.PC_ARGS)
         comments = [ln for ln in out.splitlines() if ln.startswith("#")]

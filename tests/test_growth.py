@@ -21,6 +21,7 @@ from bootgrid import (
     row_growth_polynomial,
     strategy_range,
 )
+from bootgrid.montecarlo import subset_success_counts
 
 ONE_TWO = make_rule(RuleFamily.one_two())
 
@@ -141,6 +142,23 @@ class TestRowPolynomial:
     def test_p2_coefficient_nondecreasing_in_x(self):
         c2 = [row_growth_polynomial(x).coefficient(2) for x in range(2, 9)]
         assert all(b >= a for a, b in zip(c2, c2[1:]))
+
+    @pytest.mark.parametrize(
+        "x, counts",
+        [
+            (11, [0, 0, 72, 1002, 6285, 25146, 73744, 170072, 319571, 497361, 646635, 705431,
+                  646646, 497420, 319770, 170544, 74613, 26334, 7315, 1540, 231, 22, 1]),
+            (12, [0, 0, 80, 1262, 8926, 40162, 132516, 344782, 734800, 1307246, 1961186,
+                  2496132, 2704155, 2496144, 1961256, 1307504, 735471, 346104, 134596, 42504,
+                  10626, 2024, 276, 24, 1]),
+        ],
+    )
+    def test_success_counts_at_the_width_cap(self, x, counts):
+        # Counts of the enumeration that closed every one of the 2^(2x)
+        # helper configurations.
+        grid, helpers, targets = GrowthEventSpec("north_rows", x).layout()
+        assert subset_success_counts(ONE_TWO, grid, helpers, targets).tolist() == counts
+        assert list(row_growth_polynomial(x).coeffs) == polynomial_from_counts(counts)
 
     def test_cost_guard(self):
         with pytest.raises(ValueError):

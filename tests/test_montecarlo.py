@@ -21,6 +21,7 @@ from bootgrid import (
 )
 from bootgrid import GrowthEventSpec, estimate_growth_mc
 from bootgrid.montecarlo import draw_occupancy, sample_estimate, subset_success_counts
+from reference import ref_subset_success_counts
 
 STD2 = make_rule(RuleFamily.standard(2))
 
@@ -304,6 +305,64 @@ class TestSubsetSuccessCounts:
             assert subset_success_counts(rule, grid, free, target).tolist() == want.tolist()
             mixed += 0 < want.sum() < 2**m
         assert mixed
+
+
+ONE_TWO = make_rule(RuleFamily.one_two())
+
+# 2D and 3D grids of 6 and 7 cells (one word), 12 cells (64 words, one
+# block) and 18 cells (4096 words: a first block of 512 and three doubling
+# ranges after it).
+FILL_DIMS = {
+    2: [(3, 2), (7, 1), (4, 3), (6, 3)],
+    3: [(3, 2, 1), (7, 1, 1), (3, 2, 2), (3, 3, 2)],
+}
+
+
+class TestMonotoneSkip:
+    """subset_success_counts closes only the words whose hits are not
+    already decided by monotonicity; its counts must equal those of closing
+    every word (reference.ref_subset_success_counts)."""
+
+    @pytest.mark.parametrize(
+        "direction, size",
+        [("north_rows", x) for x in range(1, 12)] + [("east_column", n) for n in range(1, 21)],
+    )
+    def test_growth_events_match_closing_every_word(self, direction, size):
+        grid, helpers, targets = GrowthEventSpec(direction, size).layout()
+        want = ref_subset_success_counts(ONE_TWO, grid, helpers, targets)
+        assert subset_success_counts(ONE_TWO, grid, helpers, targets).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize(
+        "name", ["standard2", "standard3", "modified2", "12", "1b:3", "duarte", "abc:1,1,2"]
+    )
+    def test_fill_counts_match_closing_every_word(self, name, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        for dims in FILL_DIMS[rule.dimension]:
+            grid = GridSpec(dims, boundary)
+            every = np.arange(grid.cells)
+            want = ref_subset_success_counts(rule, grid, every, every)
+            assert fill_success_counts(rule, grid).tolist() == want.tolist(), dims
+
+    @pytest.mark.parametrize(
+        "direction, size, most",
+        [("north_rows", 10, 1 / 4), ("east_column", 20, 1 / 50)],
+    )
+    def test_closes_only_the_open_words(self, monkeypatch, direction, size, most):
+        import bootgrid.montecarlo as mc
+
+        grid, helpers, targets = GrowthEventSpec(direction, size).layout()
+        closed, kernel = [], mc.closure_lanes
+
+        def spy(words, rule, periodic=False):
+            closed.append(words.size // grid.cells)
+            return kernel(words, rule, periodic)
+
+        monkeypatch.setattr(mc, "closure_lanes", spy)
+        counts = subset_success_counts(ONE_TWO, grid, helpers, targets)
+        words = 2 ** (len(helpers) - 6)
+        assert 0 < sum(closed) < most * words
+        assert counts.sum() > 0
 
 
 class TestEstimatePc:
