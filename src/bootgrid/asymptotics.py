@@ -48,15 +48,15 @@ class ScalingModel:
         return ScalingModel("12", ONE_TWO_C, ONE_TWO_CPRIME)
 
     @staticmethod
-    def one_b(b: int, cprime: float = 0.0) -> "ScalingModel":
+    def one_b(b: int) -> "ScalingModel":
         c = float(anisotropic_constant(b))
         if c == 0.0:
             raise ValueError(f"1b:{b} has a vanishing leading constant; no scaling model")
-        return ScalingModel(f"1b:{b}", c, cprime)
+        return ScalingModel(f"1b:{b}", c, 0.0)
 
     @staticmethod
-    def custom(c: float, cprime: float, family: str = "custom") -> "ScalingModel":
-        return ScalingModel(family, c, cprime)
+    def custom(c: float, cprime: float) -> "ScalingModel":
+        return ScalingModel("custom", c, cprime)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,8 @@ def _dims_str(dims: tuple[int, ...]) -> str:
 
 def _scaling_model(args) -> ScalingModel:
     if args.family is not None:
+        if args.C is not None or args.Cprime is not None:
+            raise ValueError("--C and --Cprime cannot be combined with --family")
         fam = RuleFamily.parse(args.family)
         if fam.kind == "one_two":
             return ScalingModel.one_two()
@@ -159,7 +161,12 @@ def _scaling_model(args) -> ScalingModel:
         raise ValueError(f"no built-in scaling coefficients for family {fam.name!r}")
     if args.C is None:
         raise ValueError("supply --family or --C/--Cprime")
-    return ScalingModel.custom(args.C, args.Cprime)
+    return ScalingModel.custom(args.C, _cprime(args))
+
+
+def _cprime(args) -> float:
+    """``--Cprime``, which defaults to 0.0 when omitted."""
+    return 0.0 if args.Cprime is None else args.Cprime
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +310,7 @@ def _cmd_invert(args):
         terms = pc_expansion(ln_v, model)
         residual = expansion_residual(ln_v, model)
         rows.append((ln_v, p_numeric, terms.term1, terms.term2, terms.term3, terms.total, residual))
-    params = {"lnv": args.lnv, "family": args.family, "C": args.C, "Cprime": args.Cprime}
+    params = {"lnv": args.lnv, "family": args.family, "C": args.C, "Cprime": _cprime(args)}
     return params, ["lnv", "p_numeric", "term1", "term2", "term3", "total", "residual"], rows
 
 
@@ -408,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lnv", required=True)
     sp.add_argument("--family", default=None)
     sp.add_argument("--C", type=_finite_float, default=None)
-    sp.add_argument("--Cprime", type=_finite_float, default=0.0)
+    sp.add_argument("--Cprime", type=_finite_float, default=None, help="default 0.0")
     _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_invert)
 

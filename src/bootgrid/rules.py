@@ -1,5 +1,13 @@
 """Monotone growth rules, synchronous stepping and closure computation.
 
+The supported rule families are the rows of one table (``_FAMILIES``),
+keyed by kind: standard<d> and modified<d> (d in 1..3), 12, 1b:<b>,
+duarte and abc:<a>,<b>,<c>.  A row gives the start of the family's CLI
+name, its parameter count and range, and the builder of its stencil.
+:class:`RuleFamily` reads it to check parameters and to spell the name,
+:meth:`RuleFamily.parse` accepts exactly the names it spells, and
+:func:`make_rule` calls the builder.
+
 Two rule kinds cover every supported family:
 
 * ``threshold`` - an empty cell becomes occupied when at least ``theta``
@@ -44,106 +52,11 @@ do not wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .lattice import Configuration, GridSpec
-
-FAMILY_KINDS = ("standard", "modified", "one_two", "one_b", "duarte", "abc")
-
-
-@dataclass(frozen=True)
-class RuleFamily:
-    """A named rule family with its integer parameters."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("standard", "modified"):
-            (d,) = self.params
-            if d not in (1, 2, 3):
-                raise ValueError(f"{self.kind} dimension must be 1..3, got {d}")
-        elif self.kind == "one_b":
-            (b,) = self.params
-            if b < 1:
-                raise ValueError(f"one_b requires b >= 1, got {b}")
-        elif self.kind == "abc":
-            a, b, c = self.params
-            if not (1 <= a <= b <= c):
-                raise ValueError(f"abc requires 1 <= a <= b <= c, got {self.params}")
-        elif self.params:
-            raise ValueError(f"{self.kind} takes no parameters")
-
-    @staticmethod
-    def standard(d: int) -> "RuleFamily":
-        return RuleFamily("standard", (d,))
-
-    @staticmethod
-    def modified(d: int) -> "RuleFamily":
-        return RuleFamily("modified", (d,))
-
-    @staticmethod
-    def one_two() -> "RuleFamily":
-        return RuleFamily("one_two")
-
-    @staticmethod
-    def one_b(b: int) -> "RuleFamily":
-        return RuleFamily("one_b", (b,))
-
-    @staticmethod
-    def duarte() -> "RuleFamily":
-        return RuleFamily("duarte")
-
-    @staticmethod
-    def abc(a: int, b: int, c: int) -> "RuleFamily":
-        return RuleFamily("abc", (a, b, c))
-
-    @staticmethod
-    def parse(name: str) -> "RuleFamily":
-        """Parse a CLI family name: standard2, standard3, modified2,
-        modified3, 12, 1b:<b>, duarte, abc:<a>,<b>,<c>."""
-        name = name.strip()
-        if name in ("standard1", "standard2", "standard3"):
-            return RuleFamily.standard(int(name[-1]))
-        if name in ("modified1", "modified2", "modified3"):
-            return RuleFamily.modified(int(name[-1]))
-        if name == "12":
-            return RuleFamily.one_two()
-        if name.startswith("1b:"):
-            return RuleFamily.one_b(int(name[3:]))
-        if name == "duarte":
-            return RuleFamily.duarte()
-        if name.startswith("abc:"):
-            parts = name[4:].split(",")
-            if len(parts) != 3:
-                raise ValueError(f"abc family needs three parameters, got {name!r}")
-            return RuleFamily.abc(*(int(tok) for tok in parts))
-        raise ValueError(f"unknown rule family {name!r}")
-
-    @property
-    def name(self) -> str:
-        if self.kind == "standard":
-            return f"standard{self.params[0]}"
-        if self.kind == "modified":
-            return f"modified{self.params[0]}"
-        if self.kind == "one_two":
-            return "12"
-        if self.kind == "one_b":
-            return f"1b:{self.params[0]}"
-        if self.kind == "duarte":
-            return "duarte"
-        return "abc:" + ",".join(str(v) for v in self.params)
-
-    @property
-    def dimension(self) -> int:
-        if self.kind in ("standard", "modified"):
-            return self.params[0]
-        if self.kind == "abc":
-            return 3
-        return 2
 
 
 @dataclass(frozen=True)
@@ -194,30 +107,128 @@ def _axis_units(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(units)
 
 
+def _one_b_rule(b: int) -> Rule:
+    offsets = [(i, 0) for i in range(1, b + 1)] + [(-i, 0) for i in range(1, b + 1)]
+    return Rule("threshold", 2, (*offsets, (0, 1), (0, -1)), b + 1)
+
+
+def _abc_rule(a: int, b: int, c: int) -> Rule:
+    offsets = [(s * i, 0, 0) for i in range(1, a + 1) for s in (1, -1)]
+    offsets += [(0, s * j, 0) for j in range(1, b + 1) for s in (1, -1)]
+    offsets += [(0, 0, s * k) for k in range(1, c + 1) for s in (1, -1)]
+    return Rule("threshold", 3, tuple(offsets), a + b + c)
+
+
+class _Family(NamedTuple):
+    """An entry of the family table.  The family's CLI name is ``prefix``
+    followed by its ``arity`` integer parameters joined by commas.
+    ``admits`` says whether parameters lie in the family, as ``spelling``
+    says in words, and ``rule`` builds the family's rule from admitted
+    ones; both take the parameters as arguments.  The check is apart from
+    the builder because the scaling laws take a ``1b:<b>`` of any size,
+    whose stencil of 2b + 2 offsets is never built for them."""
+
+    prefix: str
+    arity: int
+    spelling: str
+    admits: Callable[..., bool]
+    rule: Callable[..., Rule]
+
+
+# Every supported family, keyed by its kind.  The builders list offsets in a
+# fixed order, which Rule equality and the modified unit-vector check read.
+_FAMILIES = {
+    "standard": _Family(
+        "standard", 1, "standard<d> with d in 1..3", lambda d: d in (1, 2, 3),
+        lambda d: Rule("threshold", d, _axis_units(d), d),
+    ),
+    "modified": _Family(
+        "modified", 1, "modified<d> with d in 1..3", lambda d: d in (1, 2, 3),
+        lambda d: Rule("modified", d, _axis_units(d), d),
+    ),
+    "one_two": _Family("12", 0, "12", lambda: True, lambda: _one_b_rule(2)),
+    "one_b": _Family("1b:", 1, "1b:<b> with b >= 1", lambda b: b >= 1, _one_b_rule),
+    "duarte": _Family(
+        "duarte", 0, "duarte", lambda: True,
+        lambda: Rule("threshold", 2, ((0, 1), (1, 0), (0, -1)), 2),
+    ),
+    "abc": _Family(
+        "abc:", 3, "abc:<a>,<b>,<c> with 1 <= a <= b <= c",
+        lambda a, b, c: 1 <= a <= b <= c, _abc_rule,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class RuleFamily:
+    """A rule family of the table with parameters that it admits."""
+
+    kind: str
+    params: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        family = _FAMILIES.get(self.kind)
+        if family is None:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if len(self.params) != family.arity or not family.admits(*self.params):
+            raise ValueError(f"{self.kind} needs {family.spelling}, got parameters {self.params}")
+
+    @staticmethod
+    def standard(d: int) -> "RuleFamily":
+        return RuleFamily("standard", (d,))
+
+    @staticmethod
+    def modified(d: int) -> "RuleFamily":
+        return RuleFamily("modified", (d,))
+
+    @staticmethod
+    def one_two() -> "RuleFamily":
+        return RuleFamily("one_two")
+
+    @staticmethod
+    def one_b(b: int) -> "RuleFamily":
+        return RuleFamily("one_b", (b,))
+
+    @staticmethod
+    def duarte() -> "RuleFamily":
+        return RuleFamily("duarte")
+
+    @staticmethod
+    def abc(a: int, b: int, c: int) -> "RuleFamily":
+        return RuleFamily("abc", (a, b, c))
+
+    @staticmethod
+    def parse(name: str) -> "RuleFamily":
+        """The family whose :attr:`name` is ``name`` once surrounding
+        whitespace is stripped, such as ``12``, ``1b:3`` or ``abc:1,2,3``.
+        Any other spelling is refused."""
+        name = name.strip()
+        for kind, family in _FAMILIES.items():
+            if not name.startswith(family.prefix):
+                continue
+            rest = name[len(family.prefix) :]
+            try:
+                params = tuple(int(tok) for tok in rest.split(",")) if rest else ()
+                found = RuleFamily(kind, params)
+            except ValueError:
+                continue
+            if found.name == name:
+                return found
+        spellings = ", ".join(family.spelling for family in _FAMILIES.values())
+        raise ValueError(f"unknown rule family {name!r}; the families are {spellings}")
+
+    @property
+    def name(self) -> str:
+        return _FAMILIES[self.kind].prefix + ",".join(str(v) for v in self.params)
+
+    @property
+    def dimension(self) -> int:
+        return make_rule(self).dimension
+
+
 def make_rule(family: RuleFamily) -> Rule:
     """Build the concrete rule for a family."""
-    if family.kind == "standard":
-        d = family.params[0]
-        return Rule("threshold", d, _axis_units(d), d)
-    if family.kind == "modified":
-        d = family.params[0]
-        return Rule("modified", d, _axis_units(d), d)
-    if family.kind == "one_two":
-        return make_rule(RuleFamily.one_b(2))
-    if family.kind == "one_b":
-        b = family.params[0]
-        offsets = [(i, 0) for i in range(1, b + 1)] + [(-i, 0) for i in range(1, b + 1)]
-        offsets += [(0, 1), (0, -1)]
-        return Rule("threshold", 2, tuple(offsets), b + 1)
-    if family.kind == "duarte":
-        return Rule("threshold", 2, ((0, 1), (1, 0), (0, -1)), 2)
-    if family.kind == "abc":
-        a, b, c = family.params
-        offsets = [(s * i, 0, 0) for i in range(1, a + 1) for s in (1, -1)]
-        offsets += [(0, s * j, 0) for j in range(1, b + 1) for s in (1, -1)]
-        offsets += [(0, 0, s * k) for k in range(1, c + 1) for s in (1, -1)]
-        return Rule("threshold", 3, tuple(offsets), a + b + c)
-    raise ValueError(f"unknown family kind {family.kind!r}")
+    return _FAMILIES[family.kind].rule(*family.params)
 
 
 def _check_dimensions(grid: GridSpec, rule: Rule) -> None:

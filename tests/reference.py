@@ -12,8 +12,51 @@ from __future__ import annotations
 
 import numpy as np
 
-from bootgrid import Configuration, GridSpec, Rule, closure_lanes
-from bootgrid.rules import _check_dimensions
+from bootgrid import Configuration, GridSpec, Rule, RuleFamily, closure_lanes
+from bootgrid.rules import _axis_units, _check_dimensions
+
+
+def ref_make_rule(family: RuleFamily) -> Rule:
+    """The concrete rule of a family, one branch per kind: the oracle for
+    ``bootgrid.rules.make_rule``, which reads the family table."""
+    if family.kind == "standard":
+        d = family.params[0]
+        return Rule("threshold", d, _axis_units(d), d)
+    if family.kind == "modified":
+        d = family.params[0]
+        return Rule("modified", d, _axis_units(d), d)
+    if family.kind == "one_two":
+        return ref_make_rule(RuleFamily.one_b(2))
+    if family.kind == "one_b":
+        b = family.params[0]
+        offsets = [(i, 0) for i in range(1, b + 1)] + [(-i, 0) for i in range(1, b + 1)]
+        offsets += [(0, 1), (0, -1)]
+        return Rule("threshold", 2, tuple(offsets), b + 1)
+    if family.kind == "duarte":
+        return Rule("threshold", 2, ((0, 1), (1, 0), (0, -1)), 2)
+    if family.kind == "abc":
+        a, b, c = family.params
+        offsets = [(s * i, 0, 0) for i in range(1, a + 1) for s in (1, -1)]
+        offsets += [(0, s * j, 0) for j in range(1, b + 1) for s in (1, -1)]
+        offsets += [(0, 0, s * k) for k in range(1, c + 1) for s in (1, -1)]
+        return Rule("threshold", 3, tuple(offsets), a + b + c)
+    raise ValueError(f"unknown family kind {family.kind!r}")
+
+
+def ref_family_name(family: RuleFamily) -> str:
+    """The CLI name of a family, one branch per kind: the oracle for
+    ``RuleFamily.name``."""
+    if family.kind == "standard":
+        return f"standard{family.params[0]}"
+    if family.kind == "modified":
+        return f"modified{family.params[0]}"
+    if family.kind == "one_two":
+        return "12"
+    if family.kind == "one_b":
+        return f"1b:{family.params[0]}"
+    if family.kind == "duarte":
+        return "duarte"
+    return "abc:" + ",".join(str(v) for v in family.params)
 
 
 def ref_count_occupied(config: Configuration) -> int:

@@ -201,6 +201,35 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("rule", ["1b: 3", "1b:03", "abc:1, 1, 2", "123"])
+    def test_non_canonical_rule_is_refused_with_no_out_file(self, tmp_path, capsys, rule):
+        dst = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "fill", "--rule", rule, "--L", "8", "--p", "0.1",
+                                 "--trials", "10", "--out", str(dst))
+        assert code == 1 and out == ""
+        assert f"bootgrid: error: unknown rule family {rule!r}" in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--C", "0.5"), ("--Cprime", "0.3"),
+                                             ("--Cprime", "0.0")])
+    def test_invert_refuses_coefficients_with_family(self, monkeypatch, capsys, flag, value):
+        # The family fixes both coefficients, so an override would be ignored.
+        def fail(*args):
+            raise AssertionError("invert computed before refusing its flags")
+
+        monkeypatch.setattr("bootgrid.cli.invert_numeric", fail)
+        code, out, err = run_cli(capsys, "invert", "--family", "12", flag, value,
+                                 "--lnv", "1e6")
+        assert code == 1 and out == ""
+        assert "--C and --Cprime cannot be combined with --family" in err
+
+    def test_invert_family_records_cprime_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "invert", "--family", "12", "--lnv", "1e6",
+                               "--format", "json")
+        assert code == 0
+        params = json.loads(out)["manifest"]["params"]
+        assert params == {"lnv": "1e6", "family": "12", "C": None, "Cprime": 0.0}
+
     @pytest.mark.parametrize("tol", ["1", "0", "1.5"])
     def test_tolerance_outside_unit_interval_is_runtime_error(self, capsys, tol):
         code, out, err = run_cli(capsys, "pc", "--rule", "standard2", "--L", "4",

@@ -26,7 +26,7 @@ from bootgrid import (
     step,
 )
 from bootgrid.rules import pack_lanes, unpack_lanes
-from reference import ref_closure, ref_step
+from reference import ref_closure, ref_family_name, ref_make_rule, ref_step
 
 ALL_FAMILIES = [
     RuleFamily.standard(2),
@@ -100,6 +100,10 @@ class TestMakeRule:
             RuleFamily.one_b(0)
         with pytest.raises(ValueError):
             RuleFamily.abc(2, 1, 1)
+        for kind, params in [("standard", ()), ("one_two", (3,)), ("duarte", (1,)),
+                             ("abc", (1, 2)), ("two_one", ())]:
+            with pytest.raises(ValueError):
+                RuleFamily(kind, params)
 
     def test_parse_names(self):
         for fam in ALL_FAMILIES:
@@ -108,6 +112,61 @@ class TestMakeRule:
             RuleFamily.parse("standard9")
         with pytest.raises(ValueError):
             RuleFamily.parse("abc:1,2")
+
+
+# Each family at the edges of its parameter range, in canonical spelling.
+TABLE_NAMES = [
+    "standard1", "standard2", "standard3", "modified1", "modified2", "modified3", "12",
+    "1b:1", "1b:2", "1b:64", "1b:130", "duarte", "abc:1,1,1", "abc:1,2,3",
+]
+
+
+def check_family_against_oracle(family):
+    rule = make_rule(family)
+    assert rule == ref_make_rule(family)  # offsets compared in order
+    assert family.name == ref_family_name(family)
+    assert family.dimension == rule.dimension
+    assert RuleFamily.parse(family.name) == family
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_canonical_names_match_the_oracle(self, name):
+        family = RuleFamily.parse(name)
+        assert family.name == name
+        check_family_against_oracle(family)
+
+    def test_axis_units_in_order(self):
+        # The oracle builds these with the same _axis_units, so spell them out.
+        assert make_rule(RuleFamily.standard(3)).offsets == (
+            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300))
+    def test_one_b_matches_the_oracle(self, b):
+        check_family_against_oracle(RuleFamily.one_b(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=3, max_size=3).map(sorted))
+    def test_abc_matches_the_oracle(self, abc):
+        check_family_against_oracle(RuleFamily.abc(*abc))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["standard4", "standard02", "modified0", "123", "1b:", "1b:0", "1b: 3", "1b:03",
+         "1b:+3", "1b:3,", "abc:1,2", "abc:2,1,3", "abc:1, 1, 2", "duarte1", "", "  "],
+    )
+    def test_other_spellings_are_refused(self, name):
+        with pytest.raises(ValueError, match="unknown rule family"):
+            RuleFamily.parse(name)
+
+    def test_surrounding_whitespace_is_stripped(self):
+        assert RuleFamily.parse(" 1b:3\n") == RuleFamily.one_b(3)
+
+    def test_large_parameters_build_no_rule(self):
+        # The scaling laws take any b; only make_rule builds the stencil.
+        assert RuleFamily.parse("1b:1000000000").name == "1b:1000000000"
 
 
 class TestStepAgainstReference:
