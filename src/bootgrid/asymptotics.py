@@ -14,13 +14,12 @@ a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, e, floor, log
 
 from .rules import RuleFamily
 
-ONE_TWO_C = 1.0 / 6.0
 # Second coefficient of ln V_c.  The stage product contributes
 # +(1/3) ln(8/(3e)) to the log nucleation probability; inverting the
 # volume (V_c = 1/P) negates it.
@@ -29,6 +28,23 @@ ONE_TWO_CPRIME = -log(8.0 / (3.0 * e)) / 3.0
 # critical_log_volume is restricted to p <= exp(-2); with a negative C'
 # the map can lose monotonicity nearer to p = 1, which would break inversion.
 P_DOMAIN_MAX = e**-2
+
+
+def _as_family(family: RuleFamily | str) -> RuleFamily:
+    return family if isinstance(family, RuleFamily) else RuleFamily.parse(family)
+
+
+# Family names that spell the rule of another family: equal stencils, so
+# equal scaling laws.
+_SAME_RULE = {
+    RuleFamily.one_two(): RuleFamily.one_b(2),
+    RuleFamily.one_b(1): RuleFamily.standard(2),
+}
+
+
+def _same_rule(family: RuleFamily) -> RuleFamily:
+    """The family whose laws apply to ``family``'s rule."""
+    return _SAME_RULE.get(family, family)
 
 
 @dataclass(frozen=True)
@@ -44,15 +60,27 @@ class ScalingModel:
             raise ValueError(f"leading coefficient C must be positive, got {self.C}")
 
     @staticmethod
+    def of(family: RuleFamily | str) -> "ScalingModel":
+        """The built-in coefficients of ``family``'s rule.  Only the (1,b)
+        rules with b >= 2 have them: C = (b-1)^2 / (2(b+1)), and C' is known
+        for (1,2) alone, 0.0 for every other b.  ``12`` is ``1b:2``; ``1b:1``
+        is ``standard2``, which has none."""
+        spelled = _as_family(family)
+        fam = _same_rule(spelled)
+        if fam.kind != "one_b":
+            raise ValueError(f"no built-in scaling coefficients for family {spelled.name!r}")
+        b = fam.params[0]
+        return ScalingModel(
+            fam.name, float(anisotropic_constant(b)), ONE_TWO_CPRIME if b == 2 else 0.0
+        )
+
+    @staticmethod
     def one_two() -> "ScalingModel":
-        return ScalingModel("12", ONE_TWO_C, ONE_TWO_CPRIME)
+        return ScalingModel.of(RuleFamily.one_two())
 
     @staticmethod
     def one_b(b: int) -> "ScalingModel":
-        c = float(anisotropic_constant(b))
-        if c == 0.0:
-            raise ValueError(f"1b:{b} has a vanishing leading constant; no scaling model")
-        return ScalingModel(f"1b:{b}", c, 0.0)
+        return ScalingModel.of(RuleFamily.one_b(b))
 
     @staticmethod
     def custom(c: float, cprime: float) -> "ScalingModel":
@@ -86,9 +114,7 @@ def strategy_range(p: float) -> StrategyRange:
     window is empty unless p is quite small; the caller checks
     ``is_empty``.
     """
-    if not 0.0 < p < 1.0 / e:
-        raise ValueError(f"strategy range needs 0 < p < 1/e, got {p}")
-    ln_inv = log(1.0 / p)
+    ln_inv = _check_small_p(p)
     return StrategyRange(n0=2.0 / p * log(ln_inv), nf=ln_inv / (3.0 * p))
 
 
@@ -100,8 +126,7 @@ def _check_small_p(p: float) -> float:
 
 def final_stage(p: float) -> int:
     """Last stage height of the growth strategy, floor((1/(3p)) ln(1/p))."""
-    ln_inv = _check_small_p(p)
-    return floor(ln_inv / (3.0 * p))
+    return strategy_range(p).n_hi
 
 
 def nucleation_log_prob_sum(p: float, n_lo: int = 1, n_hi: int | None = None) -> float:
@@ -146,10 +171,6 @@ def critical_log_volume(model: ScalingModel, p: float) -> float:
     return (model.C * ln_inv**2 + model.Cprime * ln_inv) / p
 
 
-def _as_family(family: RuleFamily | str) -> RuleFamily:
-    return family if isinstance(family, RuleFamily) else RuleFamily.parse(family)
-
-
 def anisotropic_constant(b: int) -> Fraction:
     """Leading coefficient (b-1)^2 / (2(b+1)) of the (1,b) family, exact."""
     b = int(b)
@@ -158,30 +179,32 @@ def anisotropic_constant(b: int) -> Fraction:
     return Fraction((b - 1) ** 2, 2 * (b + 1))
 
 
+# Leading-order p_c(V) of the standard families, from C and ln V.
+_STANDARD_LAWS = {
+    RuleFamily.standard(2): lambda c, ln_v: c / ln_v,
+    RuleFamily.standard(3): lambda c, ln_v: c / log(ln_v),
+}
+
+
 def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) -> float:
     """Leading-order p_c(V) for a family, given ln V.
 
     standard d=2: C / ln V.  standard d=3: C / ln ln V.  The anisotropic
-    (1,b) families: C ln^2 ln V / ln V with C = (b-1)^2/(2(b+1)) unless
-    overridden.  For the standard families C must be supplied.
+    (1,b) families: C ln^2 ln V / ln V with C from :meth:`ScalingModel.of`
+    unless overridden.  For the standard families C must be supplied.  A
+    supplied C must be positive, as a model's is.
     """
-    fam = _as_family(family)
+    spelled = _as_family(family)
     if not ln_v > e:
         raise ValueError(f"need ln V > e, got {ln_v}")
-    if fam.kind == "standard":
-        d = fam.params[0]
+    standard_law = _STANDARD_LAWS.get(_same_rule(spelled))
+    if standard_law is not None:
         if C is None:
-            raise ValueError("standard families need an explicit leading constant C")
-        if d == 2:
-            return C / ln_v
-        if d == 3:
-            return C / log(ln_v)
-        raise ValueError(f"no leading-order law wired up for standard d={d}")
-    if fam.kind in ("one_two", "one_b"):
-        b = 2 if fam.kind == "one_two" else fam.params[0]
-        c = float(anisotropic_constant(b)) if C is None else C
-        return c * log(ln_v) ** 2 / ln_v
-    raise ValueError(f"no leading-order law for family {fam.name!r}")
+            raise ValueError(f"family {spelled.name!r} needs an explicit leading constant C")
+        return standard_law(ScalingModel.custom(C, 0.0).C, ln_v)
+    model = ScalingModel.of(spelled)
+    c = model.C if C is None else replace(model, C=C).C
+    return c * log(ln_v) ** 2 / ln_v
 
 
 def epsilon_window(family: RuleFamily | str, ln_v: float, prefactor: float = 1.0) -> float:
@@ -190,11 +213,12 @@ def epsilon_window(family: RuleFamily | str, ln_v: float, prefactor: float = 1.0
     standard d=2: ln ln V / ln^2 V.  (1,2): ln^3 ln V / ln^2 V.  The
     prefactor is an unpinned order constant, default 1.
     """
-    fam = _as_family(family)
+    spelled = _as_family(family)
     if not ln_v > e:
         raise ValueError(f"need ln V > e, got {ln_v}")
-    if fam.kind == "standard" and fam.params[0] == 2:
+    fam = _same_rule(spelled)
+    if fam == RuleFamily.standard(2):
         return prefactor * log(ln_v) / ln_v**2
-    if fam.kind == "one_two":
+    if fam == RuleFamily.one_b(2):
         return prefactor * log(ln_v) ** 3 / ln_v**2
-    raise ValueError(f"no window law for family {fam.name!r}")
+    raise ValueError(f"no window law for family {spelled.name!r}")

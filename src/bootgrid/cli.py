@@ -101,6 +101,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _probability(text: str) -> float:
     p = float(text)
     if not 0.0 <= p <= 1.0:
@@ -137,12 +144,16 @@ def _family_dims(family: RuleFamily, dims: tuple[int, ...]) -> tuple[int, ...]:
     return dims
 
 
+def _check_grid_flags(args) -> None:
+    if (args.L is None) == (args.dims is None):
+        raise ValueError("supply exactly one of --L and --dims")
+
+
 def _dims_for(args, family: RuleFamily) -> tuple[int, ...]:
+    _check_grid_flags(args)
     if args.dims is not None:
         return _family_dims(family, tuple(_int_list(args.dims)))
-    if args.L is not None:
-        return (args.L,) * family.dimension
-    raise ValueError("supply --L or --dims")
+    return (args.L,) * family.dimension
 
 
 def _dims_str(dims: tuple[int, ...]) -> str:
@@ -153,12 +164,7 @@ def _scaling_model(args) -> ScalingModel:
     if args.family is not None:
         if args.C is not None or args.Cprime is not None:
             raise ValueError("--C and --Cprime cannot be combined with --family")
-        fam = RuleFamily.parse(args.family)
-        if fam.kind == "one_two":
-            return ScalingModel.one_two()
-        if fam.kind == "one_b":
-            return ScalingModel.one_b(fam.params[0])
-        raise ValueError(f"no built-in scaling coefficients for family {fam.name!r}")
+        return ScalingModel.of(args.family)
     if args.C is None:
         raise ValueError("supply --family or --C/--Cprime")
     return ScalingModel.custom(args.C, _cprime(args))
@@ -239,13 +245,12 @@ def _cmd_pc(args):
 
 def _cmd_sweep(args):
     family = RuleFamily.parse(args.rule)
+    _check_grid_flags(args)
     if args.dims is not None:
         groups = [group for group in args.dims.split(";") if group.strip()]
         dims_list = [_family_dims(family, tuple(_int_list(group))) for group in groups]
-    elif args.L is not None:
-        dims_list = [(L,) * family.dimension for L in _int_list(str(args.L))]
     else:
-        raise ValueError("supply --L or --dims")
+        dims_list = [(L,) * family.dimension for L in _int_list(args.L)]
     p_list = _mc_p_list(args.p, args.trials)
     table = sweep(
         family,
@@ -407,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True)
     sp.add_argument("--lnv", required=True, help="comma-separated ln V values")
     sp.add_argument("--C", type=_finite_float, default=None, help="leading constant override")
-    sp.add_argument("--prefactor", type=_finite_float, default=1.0)
+    sp.add_argument(
+        "--prefactor", type=_positive_float, default=1.0, help="window order constant, > 0"
+    )
     _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_scaling)
 

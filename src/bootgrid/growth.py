@@ -45,6 +45,8 @@ from .rules import RuleFamily, closure_batch, make_rule
 
 COLUMN_MAX_HEIGHT = 20
 ROW_MAX_WIDTH = 12
+# The largest size each event is enumerated at: 2^20 and 2^24 configurations.
+_SIZE_CAPS = {"east_column": COLUMN_MAX_HEIGHT, "north_rows": ROW_MAX_WIDTH}
 
 _ONE_TWO = make_rule(RuleFamily.one_two())
 _STREAM_DOMAIN = 0x67726F77  # distinct from the fill-probability domain
@@ -101,9 +103,6 @@ class GrowthPolynomial:
 
     coeffs: tuple[Fraction, ...]
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def evaluate(self, p: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
@@ -131,35 +130,27 @@ def _counts_to_polynomial(success_by_k: np.ndarray, m: int) -> GrowthPolynomial:
     return GrowthPolynomial(tuple(Fraction(c) for c in coeffs))
 
 
-def _success_counts(spec: GrowthEventSpec) -> np.ndarray:
-    """success_by_k[k] = number of k-cell helper subsets whose closure
-    realises the growth event, exact over all 2^cells subsets."""
+def growth_polynomial(spec: GrowthEventSpec) -> GrowthPolynomial:
+    """Exact probability of the event as a polynomial in p, from the
+    success counts of all 2^helper_cells helper configurations."""
+    cap = _SIZE_CAPS[spec.direction]
+    if spec.size > cap:
+        raise ValueError(f"{spec.direction} enumeration supports size <= {cap}, got {spec.size}")
     grid, helpers, targets = spec.layout()
-    return subset_success_counts(_ONE_TWO, grid, helpers, targets)
+    counts = subset_success_counts(_ONE_TWO, grid, helpers, targets)
+    return _counts_to_polynomial(counts, spec.helper_cells)
 
 
 def column_growth_polynomial(n: int) -> GrowthPolynomial:
     """Exact probability that a 2 x n occupied rectangle absorbs its full
     east helper column, as a polynomial in p.  Equals 1 - (1-p)^n."""
-    if not 1 <= n <= COLUMN_MAX_HEIGHT:
-        raise ValueError(f"column enumeration supports 1 <= n <= {COLUMN_MAX_HEIGHT}, got {n}")
-    counts = _success_counts(GrowthEventSpec("east_column", n))
-    return _counts_to_polynomial(counts, n)
+    return growth_polynomial(GrowthEventSpec("east_column", n))
 
 
 def row_growth_polynomial(x: int) -> GrowthPolynomial:
     """Exact probability that an x-wide, 2-tall occupied rectangle absorbs
     its full first north helper row, as a polynomial in p."""
-    if not 1 <= x <= ROW_MAX_WIDTH:
-        raise ValueError(f"row enumeration supports 1 <= x <= {ROW_MAX_WIDTH}, got {x}")
-    counts = _success_counts(GrowthEventSpec("north_rows", x))
-    return _counts_to_polynomial(counts, 2 * x)
-
-
-def growth_polynomial(spec: GrowthEventSpec) -> GrowthPolynomial:
-    if spec.direction == "east_column":
-        return column_growth_polynomial(spec.size)
-    return row_growth_polynomial(spec.size)
+    return growth_polynomial(GrowthEventSpec("north_rows", x))
 
 
 def estimate_growth_mc(

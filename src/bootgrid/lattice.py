@@ -140,10 +140,6 @@ class Configuration:
         """Flat occupancy, index x + Lx*(y + Ly*z)."""
         return self.cells.reshape(-1)
 
-    def occupied_coords(self) -> list[tuple[int, ...]]:
-        rev = np.argwhere(self.cells)
-        return [tuple(int(v) for v in row[::-1]) for row in rev]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import e, exp, fsum, log
+from math import e, exp, floor, fsum, log
 
 import numpy as np
 import pytest
@@ -11,12 +11,13 @@ from bootgrid import (
     critical_log_volume,
     epsilon_window,
     leading_pc,
+    make_rule,
     nucleation_closed_terms,
     nucleation_log_prob_closed,
     nucleation_log_prob_sum,
     strategy_range,
 )
-from bootgrid.asymptotics import final_stage
+from bootgrid.asymptotics import ONE_TWO_CPRIME, final_stage
 
 
 def loop_log_prob(p: float, n_hi: int) -> float:
@@ -146,6 +147,21 @@ class TestScalingModel:
     def test_one_b3(self):
         assert ScalingModel.one_b(3).C == pytest.approx(0.5)
 
+    def test_one_two_leading_constant_is_one_sixth(self):
+        # The double that the (1,2) rows have always been computed with.
+        assert ScalingModel.of("12").C == 1.0 / 6.0
+
+    @pytest.mark.parametrize("b", [2, 3, 5, 64, 10**6])
+    def test_of_one_b(self, b):
+        model = ScalingModel.of(f"1b:{b}")
+        assert model.C == float(Fraction((b - 1) ** 2, 2 * (b + 1)))
+        assert model.Cprime == (ONE_TWO_CPRIME if b == 2 else 0.0)
+
+    @pytest.mark.parametrize("name", ["standard2", "standard3", "1b:1", "duarte", "abc:1,1,2"])
+    def test_of_refuses_families_without_coefficients(self, name):
+        with pytest.raises(ValueError, match=f"for family {name!r}"):
+            ScalingModel.of(name)
+
 
 class TestLeadingPc:
     def test_one_two_form(self):
@@ -176,6 +192,16 @@ class TestLeadingPc:
     def test_domain(self):
         with pytest.raises(ValueError):
             leading_pc(RuleFamily.one_two(), 2.0)
+
+    @pytest.mark.parametrize("name", ["12", "1b:3", "standard2", "standard3"])
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_supplied_constant_must_be_positive(self, name, c):
+        with pytest.raises(ValueError, match="must be positive"):
+            leading_pc(name, 1e6, C=c)
+
+    def test_error_names_the_family_as_spelled(self):
+        with pytest.raises(ValueError, match="family '1b:1' needs an explicit leading constant"):
+            leading_pc("1b:1", 1e6)
 
 
 class TestAnisotropicConstant:
@@ -215,3 +241,56 @@ class TestEpsilonWindow:
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             epsilon_window("standard3", 1e6)
+
+
+def outcome(law, family):
+    """``law(family)``, or ValueError when it refuses."""
+    try:
+        return law(family)
+    except ValueError:
+        return ValueError
+
+
+# Both names of each pair build the same stencil.
+SAME_RULE_PAIRS = [("12", "1b:2"), ("standard2", "1b:1")]
+LAWS = {
+    "model": ScalingModel.of,
+    **{
+        f"leading_pc_{ln_v:g}": (lambda f, ln_v=ln_v: leading_pc(f, ln_v))
+        for ln_v in (50.0, 1e6, 1e12)
+    },
+    **{
+        f"leading_pc_C{c}_{ln_v:g}": (lambda f, c=c, ln_v=ln_v: leading_pc(f, ln_v, C=c))
+        for c in (0.3, 0.55)
+        for ln_v in (50.0, 1e6, 1e12)
+    },
+    **{
+        f"window_{ln_v:g}": (lambda f, ln_v=ln_v: epsilon_window(f, ln_v, prefactor=2.5))
+        for ln_v in (50.0, 1e6, 1e12)
+    },
+}
+
+
+class TestOneRuleOneSetOfLaws:
+    @pytest.mark.parametrize("law", list(LAWS))
+    @pytest.mark.parametrize("a, b", SAME_RULE_PAIRS)
+    def test_pair_gets_one_answer(self, a, b, law):
+        assert make_rule(RuleFamily.parse(a)) == make_rule(RuleFamily.parse(b))
+        assert outcome(LAWS[law], a) == outcome(LAWS[law], b)
+
+    @pytest.mark.parametrize("a, b", SAME_RULE_PAIRS)
+    def test_pair_has_laws(self, a, b):
+        # The comparison above is not vacuous: each pair has some law.
+        answers = [outcome(law, a) for law in LAWS.values()]
+        assert any(answer is not ValueError for answer in answers)
+
+
+class TestFinalStage:
+    @pytest.mark.parametrize("p", [1e-2, 1e-4, 1e-6, 1e-10, 0.3])
+    def test_floor_of_nf(self, p):
+        assert final_stage(p) == floor(log(1.0 / p) / (3.0 * p))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0 / e, 0.5])
+    def test_domain(self, p):
+        with pytest.raises(ValueError):
+            final_stage(p)

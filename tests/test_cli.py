@@ -350,6 +350,59 @@ class TestExitCodes:
         assert got == code
         assert "expected a finite number" in err and out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fill", "--rule", "standard2", "--L", "64", "--dims", "8,8", "--p", "0.3"],
+            ["pc", "--rule", "standard2", "--L", "64", "--dims", "8,8"],
+            ["sweep", "--rule", "standard2", "--L", "64", "--dims", "8,8;4,4", "--p", "0.3"],
+        ],
+        ids=["fill", "pc", "sweep"],
+    )
+    def test_grid_from_both_L_and_dims_is_refused_before_estimating(
+        self, monkeypatch, tmp_path, capsys, argv
+    ):
+        # Before, --dims won and --L was dropped without a word.
+        def estimate_anyway(*_args, **_kwargs):
+            raise AssertionError("estimated before the grid flags were checked")
+
+        monkeypatch.setattr("bootgrid.cli.fill_probability", estimate_anyway)
+        monkeypatch.setattr("bootgrid.cli.estimate_pc", estimate_anyway)
+        monkeypatch.setattr("bootgrid.montecarlo.fill_probability", estimate_anyway)
+        dst = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--trials", "10", "--out", str(dst))
+        assert code == 1 and out == ""
+        assert "supply exactly one of --L and --dims" in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("prefactor", ["0", "-1", "-0.0"])
+    def test_scaling_refuses_a_prefactor_not_positive(self, capsys, prefactor):
+        code, out, err = run_cli(capsys, "scaling", "--family", "12", "--lnv", "1e6",
+                                 f"--prefactor={prefactor}")
+        assert code == 2
+        assert "expected a positive number" in err and out == ""
+
+    @pytest.mark.parametrize("family", ["12", "standard2"])
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_scaling_refuses_a_leading_constant_not_positive(self, capsys, family, c):
+        code, out, err = run_cli(capsys, "scaling", "--family", family, "--lnv", "1e6",
+                                 f"--C={c}")
+        assert code == 1 and out == ""
+        assert "leading coefficient C must be positive" in err
+
+    @pytest.mark.parametrize("event, size, cap", [("east_column", 21, 20), ("north_rows", 13, 12)])
+    def test_growth_refuses_a_size_above_the_cap_before_enumerating(
+        self, monkeypatch, capsys, event, size, cap
+    ):
+        def enumerate_anyway(*args):
+            raise AssertionError("enumerated above the cap")
+
+        monkeypatch.setattr("bootgrid.growth.subset_success_counts", enumerate_anyway)
+        code, out, err = run_cli(capsys, "growth", "--event", event, "--size", str(size),
+                                 "--p", "0.1", "--trials", "10")
+        assert code == 1 and out == ""
+        assert f"{event} enumeration supports size <= {cap}, got {size}" in err
+
     def test_missing_grid_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, "fill", "--rule", "standard2", "--p", "0.5")
         assert code == 1
@@ -371,6 +424,45 @@ class TestExitCodes:
                                  "--p", "0.5", "--trials", "10")
         assert code == 1
         assert "family standard2 is 2-dimensional" in err and out == ""
+
+
+# Each pair names one rule twice: the two build the same stencil.
+SAME_RULE_PAIRS = [("12", "1b:2"), ("standard2", "1b:1")]
+
+
+@pytest.mark.parametrize("a, b", SAME_RULE_PAIRS)
+class TestOneRuleOneSetOfLaws:
+    def run_rows(self, capsys, family, *argv):
+        code, out, err = run_cli(capsys, *argv, "--family", family)
+        return code, data_lines(out), err
+
+    @pytest.mark.parametrize("extra", [[], ["--C", "0.3"], ["--C", "0.55", "--prefactor", "2"]])
+    def test_scaling_rows_match_apart_from_the_family_column(self, capsys, a, b, extra):
+        argv = ["scaling", "--lnv", "50,1e6,1e8", *extra]
+        code_a, rows_a, _ = self.run_rows(capsys, a, *argv)
+        code_b, rows_b, err_b = self.run_rows(capsys, b, *argv)
+        assert code_a == code_b
+        if code_a != 0:
+            assert rows_b == [] and f"family {b!r}" in err_b
+            return
+        assert [r.split(",")[0] for r in rows_b[1:]] == [b] * 3
+        assert [r.split(",")[1:] for r in rows_a] == [r.split(",")[1:] for r in rows_b]
+
+    def test_invert_rows_match(self, capsys, a, b):
+        argv = ["invert", "--lnv", "1e6,1e8"]
+        code_a, rows_a, _ = self.run_rows(capsys, a, *argv)
+        code_b, rows_b, err_b = self.run_rows(capsys, b, *argv)
+        assert (code_a, rows_a) == (code_b, rows_b)
+        if code_b != 0:
+            assert f"for family {b!r}" in err_b
+
+    def test_manifest_keeps_the_family_as_spelled(self, capsys, a, b):
+        code, out, _ = run_cli(capsys, "scaling", "--family", b, "--lnv", "1e6", "--C", "0.3",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["manifest"]["params"]["family"] == b
+        assert [row["family"] for row in doc["rows"]] == [b]
 
 
 class TestThreadsEnv:

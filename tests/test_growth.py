@@ -21,6 +21,7 @@ from bootgrid import (
     row_growth_polynomial,
     strategy_range,
 )
+from bootgrid.growth import growth_polynomial
 from bootgrid.montecarlo import subset_success_counts
 
 ONE_TWO = make_rule(RuleFamily.one_two())
@@ -163,6 +164,27 @@ class TestRowPolynomial:
     def test_cost_guard(self):
         with pytest.raises(ValueError):
             row_growth_polynomial(13)
+
+
+class TestGrowthPolynomial:
+    """The one exact path behind both wrappers."""
+
+    @pytest.mark.parametrize(
+        "direction, size, wrapper",
+        [("east_column", n, column_growth_polynomial) for n in range(1, 21)]
+        + [("north_rows", x, row_growth_polynomial) for x in range(1, 13)],
+    )
+    def test_equals_the_wrapper(self, direction, size, wrapper):
+        assert growth_polynomial(GrowthEventSpec(direction, size)) == wrapper(size)
+
+    @pytest.mark.parametrize("direction, size", [("east_column", 21), ("north_rows", 13)])
+    def test_refuses_a_size_above_the_cap_before_enumerating(self, monkeypatch, direction, size):
+        def enumerate_anyway(*args):
+            raise AssertionError("enumerated above the cap")
+
+        monkeypatch.setattr("bootgrid.growth.subset_success_counts", enumerate_anyway)
+        with pytest.raises(ValueError, match=f"{direction} enumeration supports size <= {size - 1}"):
+            growth_polynomial(GrowthEventSpec(direction, size))
 
 
 class TestPolynomialShape:
