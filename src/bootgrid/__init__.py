@@ -49,12 +49,10 @@ from .lattice import (
 )
 from .montecarlo import (
     Estimate,
-    SweepRow,
     estimate_pc,
     fill_probability,
     fill_probability_exact,
     fill_success_counts,
-    sweep,
 )
 from .rng import Stream, derive_seed
 from .rules import (
@@ -84,7 +82,6 @@ __all__ = [
     "ScalingModel",
     "Stream",
     "StrategyRange",
-    "SweepRow",
     "anisotropic_constant",
     "bracketing_check",
     "bracketing_epsilon",
@@ -120,7 +117,6 @@ __all__ = [
     "row_growth_polynomial",
     "step",
     "strategy_range",
-    "sweep",
     "to_text",
     "__version__",
 ]

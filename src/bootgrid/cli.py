@@ -20,6 +20,14 @@ rows.  Data rows are a pure function of the manifest minus its timestamp;
 ``--threads`` changes runtime only.  ``BOOTGRID_THREADS`` is the default
 of ``--threads`` and is checked the same way.  Exit codes: 0 on success,
 2 on usage errors, 1 on runtime errors.
+
+``fill``, ``pc`` and ``sweep`` share one path: one parser reads the
+grids of ``--L`` or ``--dims`` and checks them against the rule before
+any estimate runs, and one builder makes a row per (grid, seed) and p.
+``fill`` and ``pc`` take one grid at ``--seed``; ``sweep`` takes grid
+``i`` at ``derive_seed(seed, i)``, so its rows for that grid are the
+``fill`` rows at that seed.  A library user makes such a table by
+looping :func:`~bootgrid.montecarlo.fill_probability`.
 """
 
 from __future__ import annotations
@@ -44,8 +52,9 @@ from .asymptotics import (
 from .growth import GrowthEventSpec, estimate_growth_mc, growth_polynomial
 from .inversion import expansion_residual, invert_numeric, pc_expansion
 from .lattice import GridSpec, from_text, to_text
-from .montecarlo import estimate_pc, fill_probability, sweep
-from .rules import RuleFamily, closure_fast, make_rule
+from .montecarlo import estimate_pc, fill_probability
+from .rng import derive_seed
+from .rules import Rule, RuleFamily, closure_fast, make_rule
 
 
 @dataclass
@@ -136,24 +145,35 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _family_dims(family: RuleFamily, dims: tuple[int, ...]) -> tuple[int, ...]:
-    if len(dims) != family.dimension:
-        raise ValueError(
-            f"family {family.name} is {family.dimension}-dimensional, got dims {dims}"
-        )
-    return dims
-
-
-def _check_grid_flags(args) -> None:
+def _rule_and_grids(args, single: bool = False) -> tuple[RuleFamily, Rule, list[GridSpec]]:
+    """The family and rule of ``--rule`` and the grids of fill, pc and
+    sweep, from exactly one of ``--L`` and ``--dims``.  ``--L`` lists side
+    lengths separated by commas, each of a grid with equal sides; ``--dims``
+    lists groups of side lengths separated by semicolons.  Every group is
+    checked against the rule's dimension here, before any estimate runs.
+    With ``single``, more than one grid is refused."""
+    family = RuleFamily.parse(args.rule)
+    rule = make_rule(family)
+    d = rule.dimension
     if (args.L is None) == (args.dims is None):
         raise ValueError("supply exactly one of --L and --dims")
-
-
-def _dims_for(args, family: RuleFamily) -> tuple[int, ...]:
-    _check_grid_flags(args)
-    if args.dims is not None:
-        return _family_dims(family, tuple(_int_list(args.dims)))
-    return (args.L,) * family.dimension
+    if args.dims is None:  # --L is one int for fill and pc, a list for sweep
+        flag, text, groups = "--L", str(args.L), [(L,) * d for L in _int_list(str(args.L))]
+    else:
+        flag, text = "--dims", args.dims
+        groups = (tuple(_int_list(group)) for group in text.split(";") if group.strip())
+    grids = []
+    for dims in groups:
+        if len(dims) != d:
+            raise ValueError(f"family {family.name} is {d}-dimensional, got dims {dims}")
+        grids.append(GridSpec(dims, args.boundary))
+    if not grids:
+        raise ValueError(f"{flag} names no grid, got {text!r}")
+    if single and len(grids) > 1:
+        raise ValueError(
+            f"fill and pc take one grid, got {len(grids)} in {flag}; sweep takes several"
+        )
+    return family, rule, grids
 
 
 def _dims_str(dims: tuple[int, ...]) -> str:
@@ -179,12 +199,37 @@ def _cprime(args) -> float:
 # subcommands: each maps args to (params, columns, rows) and writes nothing
 # --------------------------------------------------------------------------
 
-# The columns of fill, pc and sweep; _estimate_row gives a row of them.
-_ESTIMATE_COLUMNS = ["family", "dims", "p", "mean", "stderr", "trials", "seed"]
+
+def _estimate_table(family: RuleFamily, runs, p_list: list[float], estimate):
+    """Columns and rows of fill, pc and sweep: for each (grid, seed) of
+    ``runs`` and each p of ``p_list``, the row of ``estimate(grid, p, seed)``."""
+    rows = []
+    for grid, seed in runs:
+        for p in p_list:
+            est = estimate(grid, p, seed)
+            rows.append(
+                (family.name, _dims_str(grid.dims), p, est.mean, est.stderr, est.trials, est.seed)
+            )
+    return ["family", "dims", "p", "mean", "stderr", "trials", "seed"], rows
 
 
-def _estimate_row(family: str, dims: tuple[int, ...], p: float, est) -> tuple:
-    return (family, _dims_str(dims), p, est.mean, est.stderr, est.trials, est.seed)
+def _fill_table(args, family: RuleFamily, rule: Rule, runs, dims):
+    """fill and sweep: the fill estimate at each p of ``--p`` on each
+    (grid, seed) of ``runs``; ``dims`` is the manifest's record of the grids."""
+    p_list = _mc_p_list(args.p, args.trials)
+    params = {
+        "rule": family.name,
+        "dims": dims,
+        "boundary": args.boundary,
+        "p": args.p,
+        "trials": args.trials,
+    }
+    return params, *_estimate_table(
+        family,
+        runs,
+        p_list,
+        lambda grid, p, seed: fill_probability(rule, grid, p, args.trials, seed, args.threads),
+    )
 
 
 def _cmd_close(args):
@@ -200,75 +245,40 @@ def _cmd_close(args):
 
 
 def _cmd_fill(args):
-    family = RuleFamily.parse(args.rule)
-    rule = make_rule(family)
-    dims = _dims_for(args, family)
-    grid = GridSpec(dims, args.boundary)
-    rows = []
-    for p in _mc_p_list(args.p, args.trials):
-        est = fill_probability(rule, grid, p, args.trials, args.seed, args.threads)
-        rows.append(_estimate_row(family.name, dims, p, est))
-    params = {
-        "rule": family.name,
-        "dims": _dims_str(dims),
-        "boundary": args.boundary,
-        "p": args.p,
-        "trials": args.trials,
-    }
-    return params, _ESTIMATE_COLUMNS, rows
+    family, rule, (grid,) = _rule_and_grids(args, single=True)
+    return _fill_table(args, family, rule, [(grid, args.seed)], _dims_str(grid.dims))
 
 
 def _cmd_pc(args):
-    family = RuleFamily.parse(args.rule)
-    rule = make_rule(family)
-    dims = _dims_for(args, family)
-    grid = GridSpec(dims, args.boundary)
-    est = estimate_pc(
-        rule,
-        grid,
-        target=args.target,
-        p_tolerance=args.tol,
-        trials_per_probe=args.trials,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    family, rule, (grid,) = _rule_and_grids(args, single=True)
     params = {
         "rule": family.name,
-        "dims": _dims_str(dims),
+        "dims": _dims_str(grid.dims),
         "boundary": args.boundary,
         "target": args.target,
         "tol": args.tol,
         "trials": args.trials,
     }
-    return params, _ESTIMATE_COLUMNS, [_estimate_row(family.name, dims, args.target, est)]
+    return params, *_estimate_table(
+        family,
+        [(grid, args.seed)],
+        [args.target],
+        lambda grid, target, seed: estimate_pc(
+            rule,
+            grid,
+            target=target,
+            p_tolerance=args.tol,
+            trials_per_probe=args.trials,
+            seed=seed,
+            threads=args.threads,
+        ),
+    )
 
 
 def _cmd_sweep(args):
-    family = RuleFamily.parse(args.rule)
-    _check_grid_flags(args)
-    if args.dims is not None:
-        groups = [group for group in args.dims.split(";") if group.strip()]
-        dims_list = [_family_dims(family, tuple(_int_list(group))) for group in groups]
-    else:
-        dims_list = [(L,) * family.dimension for L in _int_list(args.L)]
-    p_list = _mc_p_list(args.p, args.trials)
-    table = sweep(
-        family,
-        dims_list,
-        p_list,
-        trials=args.trials,
-        seed=args.seed,
-        boundary=args.boundary,
-        threads=args.threads,
-    )
-    params = {
-        "rule": family.name,
-        "dims": [_dims_str(d) for d in dims_list],
-        "boundary": args.boundary,
-        "p": args.p,
-        "trials": args.trials,
-    }
-    return params, _ESTIMATE_COLUMNS, [_estimate_row(r.family, r.dims, r.p, r) for r in table]
+    family, rule, grids = _rule_and_grids(args)
+    runs = [(grid, derive_seed(args.seed, i)) for i, grid in enumerate(grids)]
+    return _fill_table(args, family, rule, runs, [_dims_str(grid.dims) for grid in grids])
 
 
 def _cmd_growth(args):

@@ -28,15 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Configuration, GridSpec
-from .rng import Stream, derive_seed
+from .rng import Stream
 from .rules import (
     Rule,
-    RuleFamily,
     _check_dimensions,
     closure_batch,
     closure_fast,
     closure_lanes,
-    make_rule,
 )
 
 _STREAM_DOMAIN = 0x66696C6C
@@ -66,19 +64,6 @@ class Estimate:
             raise ValueError(f"an estimate needs at least one trial, got {self.trials}")
         if self.stderr < 0.0:
             raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (family, dims, p) cell of a sweep table."""
-
-    family: str
-    dims: tuple[int, ...]
-    p: float
-    mean: float
-    stderr: float
-    trials: int
-    seed: int
 
 
 def _chunk_size(cells: int, trials: int, threads: int) -> int:
@@ -347,39 +332,3 @@ def estimate_pc(
         seed=seed,
     )
 
-
-def sweep(
-    family: RuleFamily,
-    dims_list: list[tuple[int, ...]],
-    p_list: list[float],
-    trials: int,
-    seed: int,
-    boundary: str = "open",
-    threads: int = 1,
-) -> list[SweepRow]:
-    """Fill estimates over a (dims x p) grid, one row per combination.
-
-    Each dims entry gets its own derived seed, shared across all p values
-    so the rows of one grid size are coupled and nondecreasing in p.
-    """
-    if not dims_list or not p_list:
-        raise ValueError("dims_list and p_list must be nonempty")
-    rule = make_rule(family)
-    rows = []
-    for di, dims in enumerate(dims_list):
-        grid = GridSpec(dims, boundary)
-        row_seed = derive_seed(seed, di)
-        for p in p_list:
-            est = fill_probability(rule, grid, p, trials, row_seed, threads)
-            rows.append(
-                SweepRow(
-                    family=family.name,
-                    dims=tuple(dims),
-                    p=p,
-                    mean=est.mean,
-                    stderr=est.stderr,
-                    trials=est.trials,
-                    seed=row_seed,
-                )
-            )
-    return rows

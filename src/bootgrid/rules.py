@@ -46,7 +46,10 @@ All of them agree bit for bit.  The naive step counts neighbours in the
 narrowest unsigned type that holds the stencil size, and the kernel's
 counter has as many digit planes as that size has bits, so stencils of
 more than 255 offsets (``1b:b`` with b >= 127, ``abc`` with a+b+c >= 128)
-do not wrap.
+do not wrap.  On an open grid both packings step a threshold rule with
+only the offsets that land inside the grid, as the naive step skips the
+others, so a stencil far longer than the grid costs what its landing
+offsets cost.
 """
 
 from __future__ import annotations
@@ -221,10 +224,6 @@ class RuleFamily:
     def name(self) -> str:
         return _FAMILIES[self.kind].prefix + ",".join(str(v) for v in self.params)
 
-    @property
-    def dimension(self) -> int:
-        return make_rule(self).dimension
-
 
 def make_rule(family: RuleFamily) -> Rule:
     """Build the concrete rule for a family."""
@@ -236,6 +235,18 @@ def _check_dimensions(grid: GridSpec, rule: Rule) -> None:
         raise ValueError(
             f"rule dimension {rule.dimension} does not match grid dimension {grid.ndim}"
         )
+
+
+def _landing_offsets(rule: Rule, dims: tuple[int, ...], periodic: bool):
+    """The offsets the kernels step ``rule`` with on a grid of side lengths
+    ``dims`` (x first).  On an open grid a threshold rule's offset with a
+    component at least as long as its axis never lands inside the grid and
+    counts nothing, so it is left out; with fewer offsets left than
+    ``theta``, nothing can grow.  Periodic grids keep every offset, since
+    wrapped offsets count with multiplicity, and so do modified rules."""
+    if periodic or rule.kind != "threshold":
+        return rule.offsets
+    return tuple(off for off in rule.offsets if all(abs(v) < n for v, n in zip(off, dims)))
 
 
 def _shifted_into(out: np.ndarray, src: np.ndarray, offset: tuple[int, ...], periodic: bool):
@@ -383,11 +394,14 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     _check_dimensions(config.grid, rule)
     grid = config.grid
     periodic = grid.periodic
+    offsets = _landing_offsets(rule, grid.dims, periodic)
+    if len(offsets) < rule.theta:
+        return Configuration(grid, config.cells.copy())
     lz, ly, lx = (1, 1, *grid.shape)[-3:]
     n_rows, width = lz * ly, -(-lx // 64)
 
     groups: dict[tuple[int, int], list[int]] = {}  # (dy, dz) -> dx, in stencil order
-    for off in rule.offsets:
+    for off in offsets:
         dx, dy, dz = (*off, 0, 0)[:3]
         groups.setdefault((dy, dz), []).append(dx)
     z, y = np.divmod(np.arange(n_rows), ly)
@@ -400,7 +414,7 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
             inside = (ny >= 0) & (ny < ly) & (nz >= 0) & (nz < lz)
             sources.append(np.where(inside, nz * ly + ny, n_rows))
     sources = np.stack(sources)
-    shifts = [off[0] for off in rule.offsets]
+    shifts = [off[0] for off in offsets]
     if periodic:
         shifts = [k for dx in shifts for k in (dx % lx, dx % lx - lx)]
     start = max(0, *(-(k // 64) for k in shifts))  # zero words before the data
@@ -414,8 +428,11 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     board = octets.view(np.uint64)
     tail = np.uint64((1 << (lx - 64 * (width - 1))) - 1)  # live bits of the last word
 
+    # The counter has the digits of the whole stencil's size, as many as the
+    # comparison reads bits of theta; those the kept offsets never reach are 0.
     digits = len(rule.offsets).bit_length() if rule.kind == "threshold" else 0
     scratch = np.empty((2 + digits, n_rows, width), dtype=np.uint64)
+    scratch[2 + len(offsets).bit_length() :] = 0
     changed = np.ones(n_rows + 1, dtype=bool)
     changed[n_rows] = False
     while True:
@@ -524,7 +541,7 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
 
     Each batch position is an entry, one word per cell, closed as a grid
     of its own.  The entries lie one after another in a flat array, each
-    inside a halo as deep as the stencil's reach on every grid axis, so
+    inside a halo as deep as its stepped offsets reach on every grid axis, so
     each offset's shifted plane is one contiguous slice of the flat array.
     On an open grid the halo is zero and follows each row (plane, block,
     entry), where it also serves as the halo before the next one; flat
@@ -552,20 +569,24 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     if words.size == 0:
         return words.copy()
     shape = words.shape[words.ndim - d :]
+    offsets = _landing_offsets(rule, shape[::-1], periodic)
+    if len(offsets) < rule.theta:
+        return words.copy()
     entries = words.reshape((-1,) + shape)
     # grid axis k is offset component d - 1 - k
-    reach = [max(abs(off[d - 1 - k]) for off in rule.offsets) for k in range(d)]
+    reach = [max(abs(off[d - 1 - k]) for off in offsets) for k in range(d)]
     before = reach if periodic else [0] * d
     padded_shape = tuple(n + b + a for n, b, a in zip(shape, before, reach))
     size = int(np.prod(padded_shape))  # words of one entry in the flat array
     strides = [int(np.prod(padded_shape[k + 1 :])) for k in range(d)]
-    shifts = [sum(off[d - 1 - k] * strides[k] for k in range(d)) for off in rule.offsets]
+    shifts = [sum(off[d - 1 - k] * strides[k] for k in range(d)) for off in offsets]
     margin = max(abs(sh) for sh in shifts)
     inner = tuple(slice(b, b + n) for b, n in zip(before, shape))
 
     live = np.arange(len(entries))  # result index of each entry still stepped
-    digits = len(rule.offsets).bit_length() if rule.kind == "threshold" else 0
+    digits = len(rule.offsets).bit_length() if rule.kind == "threshold" else 0  # see closure_fast
     scratch = np.empty((2 + digits, live.size * size), dtype=np.uint64)
+    scratch[2 + len(offsets).bit_length() :] = 0
     flat = np.zeros(live.size * size + 2 * margin, dtype=np.uint64)
     padded = flat[margin : margin + live.size * size].reshape((-1,) + padded_shape)
     padded[(...,) + inner] = entries

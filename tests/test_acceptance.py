@@ -59,7 +59,7 @@ def test_criterion_01_closure_oracle_equivalence():
     checked = 0
     for family in FAMILIES:
         rule = make_rule(family)
-        grid = GridSpec((32, 32) if family.dimension == 2 else (8, 8, 8))
+        grid = GridSpec((32, 32) if rule.dimension == 2 else (8, 8, 8))
         for pi, p in enumerate((0.05, 0.3, 0.7)):
             root = Stream((2026, zlib.crc32(family.name.encode()) & 0xFFFF, pi))
             for i in range(500):
@@ -85,7 +85,7 @@ def test_criterion_02_idempotence_and_monotonicity_suites():
         u = rng.child(i).uniforms(3)
         family = FAMILIES[int(u[0] * len(FAMILIES))]
         rule = make_rule(family)
-        grid = GridSpec((10, 10) if family.dimension == 2 else (4, 4, 4),
+        grid = GridSpec((10, 10) if rule.dimension == 2 else (4, 4, 4),
                         "periodic" if u[1] < 0.5 else "open")
         cfg = random_configuration(grid, 0.1 + 0.5 * u[2], rng.child(i).child(1))
         closed = closure_fast(cfg, rule)
@@ -96,7 +96,7 @@ def test_criterion_02_idempotence_and_monotonicity_suites():
         u = rng.child(10_000 + i).uniforms(3)
         family = FAMILIES[int(u[0] * len(FAMILIES))]
         rule = make_rule(family)
-        grid = GridSpec((10, 10) if family.dimension == 2 else (4, 4, 4))
+        grid = GridSpec((10, 10) if rule.dimension == 2 else (4, 4, 4))
         small = random_configuration(grid, 0.1 + 0.4 * u[1], rng.child(20_000 + i))
         extra = random_configuration(grid, 0.08, rng.child(30_000 + i))
         big = occupy_rect(small, Rect((0,) * grid.ndim, (1,) * grid.ndim))

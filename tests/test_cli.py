@@ -3,7 +3,19 @@ from datetime import datetime
 
 import pytest
 
-from bootgrid import GridSpec, RuleFamily, Stream, closure_fast, from_text, make_rule, random_configuration, to_text
+from bootgrid import (
+    GridSpec,
+    RuleFamily,
+    Stream,
+    closure_fast,
+    closure_naive,
+    derive_seed,
+    fill_probability,
+    from_text,
+    make_rule,
+    random_configuration,
+    to_text,
+)
 from bootgrid.cli import main
 
 
@@ -305,7 +317,8 @@ class TestExitCodes:
         def estimate_anyway(*_args, **_kwargs):
             raise AssertionError("fill_probability ran before the input was checked")
 
-        # fill calls it through the CLI module, sweep through montecarlo
+        # fill and sweep call it through the CLI module; the library's name
+        # is patched too, so that no path to an estimate is left open
         monkeypatch.setattr("bootgrid.cli.fill_probability", estimate_anyway)
         monkeypatch.setattr("bootgrid.montecarlo.fill_probability", estimate_anyway)
         code, out, err = run_cli(capsys, *argv, *args)
@@ -419,11 +432,122 @@ class TestExitCodes:
         def estimate_anyway(*_args, **_kwargs):
             raise AssertionError("fill_probability ran before every dims group was checked")
 
-        monkeypatch.setattr("bootgrid.montecarlo.fill_probability", estimate_anyway)
-        code, out, err = run_cli(capsys, "sweep", "--rule", "standard2", "--dims", dims,
-                                 "--p", "0.5", "--trials", "10")
+        monkeypatch.setattr("bootgrid.cli.fill_probability", estimate_anyway)
+        argv = ["sweep", "--rule", "standard2", "--p", "0.5", "--trials", "10"]
+        code, out, err = run_cli(capsys, *argv, "--dims", dims)
         assert code == 1
         assert "family standard2 is 2-dimensional" in err and out == ""
+        # the patched name is the one a valid sweep estimates through
+        code, out, err = run_cli(capsys, *argv, "--dims", "4,4")
+        assert code == 1
+        assert "fill_probability ran before" in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--L", ",", "--p", "0.5"], "--L names no grid, got ','"),
+            (["sweep", "--dims", ";", "--p", "0.5"], "--dims names no grid, got ';'"),
+            (["sweep", "--dims", " ; ", "--p", "0.5"], "--dims names no grid, got ' ; '"),
+            (["sweep", "--L", "4", "--p", ","], "expected a comma-separated list of numbers"),
+            (["fill", "--dims", "4,4;5,5", "--p", "0.5"], "fill and pc take one grid, got 2"),
+            (["pc", "--dims", "4,4;5,5"], "fill and pc take one grid, got 2 in --dims"),
+        ],
+        ids=["sweep_L", "sweep_dims", "sweep_dims_blank", "sweep_p", "fill", "pc"],
+    )
+    def test_grid_lists_are_refused_by_flag_before_estimating(
+        self, monkeypatch, capsys, argv, message
+    ):
+        # Before, the two sweeps exited with the library's "dims_list and
+        # p_list must be nonempty", and fill with int()'s message for '4;5'.
+        def estimate_anyway(*_args, **_kwargs):
+            raise AssertionError("estimated before the grids were checked")
+
+        monkeypatch.setattr("bootgrid.cli.fill_probability", estimate_anyway)
+        monkeypatch.setattr("bootgrid.cli.estimate_pc", estimate_anyway)
+        code, out, err = run_cli(capsys, argv[0], "--rule", "standard2", *argv[1:],
+                                 "--trials", "10")
+        assert code == 1 and out == ""
+        assert f"bootgrid: error: {message}" in err
+
+
+def table_rows(output: str, fmt: str) -> list:
+    """The data rows of a table run, below the CSV header or in JSON."""
+    return json.loads(output)["rows"] if fmt == "json" else data_lines(output)[1:]
+
+
+class TestSweep:
+    """sweep through the CLI: grid i of a sweep is estimated at seed
+    derive_seed(seed, i), one row per p, grid by grid."""
+
+    def sweep_rows(self, capsys, *argv):
+        code, out, err = run_cli(capsys, "sweep", "--rule", "standard2", *argv)
+        assert code == 0, err
+        header, *rows = data_lines(out)
+        return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+    def test_deterministic_and_ordered(self, capsys):
+        argv = ["--L", "4,6", "--p", "0.2,0.3,0.4", "--trials", "800", "--seed", "31"]
+        a = self.sweep_rows(capsys, *argv)
+        b = self.sweep_rows(capsys, *argv)
+        assert a == b
+        assert [(r["dims"], r["p"]) for r in a] == [
+            (d, p) for d in ("4x4", "6x6") for p in ("0.2", "0.3", "0.4")
+        ]
+
+    def test_rows_monotone_in_p_at_fixed_dims(self, capsys):
+        rows = self.sweep_rows(capsys, "--L", "8", "--p", "0.1,0.2,0.3,0.4,0.5",
+                               "--trials", "1500", "--seed", "7")
+        means = [float(r["mean"]) for r in rows]
+        assert len(means) == 5
+        assert means == sorted(means)  # exact: p-coupled trials
+
+    def test_single_row_matches_fill_probability(self, capsys):
+        (row,) = self.sweep_rows(capsys, "--L", "5", "--p", "0.33", "--trials", "900",
+                                 "--seed", "42")
+        row_seed = derive_seed(42, 0)
+        direct = fill_probability(make_rule(RuleFamily.standard(2)), GridSpec((5, 5)), 0.33,
+                                  900, row_seed)
+        assert float(row["mean"]) == direct.mean and int(row["seed"]) == row_seed
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_rows_are_fill_rows_at_the_derived_seeds(self, capsys, boundary, fmt):
+        common = ["--rule", "12", "--p", "0.1,0.3", "--trials", "300",
+                  "--boundary", boundary, "--format", fmt]
+        groups = ["8,6", "5,5"]
+        code, out, _ = run_cli(capsys, "sweep", "--dims", ";".join(groups), "--seed", "11",
+                               *common)
+        assert code == 0
+        want = []
+        for i, dims in enumerate(groups):
+            code, fill_out, _ = run_cli(capsys, "fill", "--dims", dims,
+                                        "--seed", str(derive_seed(11, i)), *common)
+            assert code == 0
+            want += table_rows(fill_out, fmt)
+        assert len(want) == 4
+        assert table_rows(out, fmt) == want
+
+
+class TestStencilLongerThanTheGrid:
+    def test_fill_row_matches_per_trial_naive_reconstruction(self, capsys):
+        # 40002 offsets, of which 16 land on an open 8 x 8 grid: fewer than
+        # theta = 20001, so a trial fills only when it starts full.
+        from bootgrid.montecarlo import _STREAM_DOMAIN
+
+        code, out, _ = run_cli(capsys, "fill", "--rule", "1b:20000", "--L", "8",
+                               "--p", "0.1,1", "--trials", "24", "--seed", "3")
+        assert code == 0
+        rule, grid = make_rule(RuleFamily.one_b(20000)), GridSpec((8, 8))
+        root = Stream((3, _STREAM_DOMAIN))
+        want = []
+        for p in (0.1, 1.0):
+            filled = sum(
+                closure_naive(random_configuration(grid, p, root.child(i)), rule).is_full()
+                for i in range(24)
+            )
+            want.append(filled / 24)
+        rows = [line.split(",") for line in data_lines(out)[1:]]
+        assert [float(r[3]) for r in rows] == want == [0.0, 1.0]
 
 
 # Each pair names one rule twice: the two build the same stencil.

@@ -17,7 +17,6 @@ from bootgrid import (
     fill_success_counts,
     make_rule,
     random_configuration,
-    sweep,
 )
 from bootgrid import GrowthEventSpec, estimate_growth_mc
 from bootgrid.montecarlo import draw_occupancy, sample_estimate, subset_success_counts
@@ -462,9 +461,8 @@ class TestDimensionMismatch:
             lambda: fill_success_counts(STD2, GridSpec((4,))),
             lambda: subset_success_counts(STD2, GridSpec((4,)), np.arange(4), np.arange(4)),
             lambda: estimate_pc(STD2, GridSpec((8,)), p_tolerance=0.1, trials_per_probe=10),
-            lambda: sweep(RuleFamily.standard(2), [(4, 4), (4,)], [0.5], trials=10, seed=0),
         ],
-        ids=["fill", "fill_per_trial", "exact_counts", "subsets", "pc", "sweep"],
+        ids=["fill", "fill_per_trial", "exact_counts", "subsets", "pc"],
     )
     def test_lower_dimensional_grid_is_refused(self, call):
         with pytest.raises(ValueError, match=self.MESSAGE):
@@ -474,34 +472,3 @@ class TestDimensionMismatch:
         with pytest.raises(ValueError, match="rule dimension 1 does not match grid dimension 2"):
             fill_probability_exact(make_rule(RuleFamily.standard(1)), GridSpec((2, 2)), 0.5)
 
-
-class TestSweep:
-    def test_deterministic_and_ordered(self):
-        fam = RuleFamily.standard(2)
-        dims = [(4, 4), (6, 6)]
-        ps = [0.2, 0.3, 0.4]
-        a = sweep(fam, dims, ps, trials=800, seed=31)
-        b = sweep(fam, dims, ps, trials=800, seed=31)
-        assert a == b
-        assert [(r.dims, r.p) for r in a] == [(d, p) for d in [(4, 4), (6, 6)] for p in ps]
-
-    def test_rows_monotone_in_p_at_fixed_dims(self):
-        fam = RuleFamily.standard(2)
-        rows = sweep(fam, [(8, 8)], [0.1, 0.2, 0.3, 0.4, 0.5], trials=1500, seed=7)
-        means = [r.mean for r in rows]
-        assert means == sorted(means)  # exact: p-coupled trials
-
-    def test_single_row_matches_fill_probability(self):
-        from bootgrid import derive_seed
-
-        fam = RuleFamily.standard(2)
-        rows = sweep(fam, [(5, 5)], [0.33], trials=900, seed=42)
-        row_seed = derive_seed(42, 0)
-        direct = fill_probability(STD2, GridSpec((5, 5)), 0.33, 900, row_seed)
-        assert rows[0].mean == direct.mean and rows[0].seed == row_seed
-
-    def test_empty_lists_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(RuleFamily.standard(2), [], [0.5], trials=10, seed=0)
-        with pytest.raises(ValueError):
-            sweep(RuleFamily.standard(2), [(4, 4)], [], trials=10, seed=0)

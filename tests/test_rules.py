@@ -40,7 +40,7 @@ ALL_FAMILIES = [
 
 
 def family_grid(family, boundary="open", small=False):
-    if family.dimension == 3:
+    if make_rule(family).dimension == 3:
         return GridSpec((4, 4, 4) if small else (6, 6, 6), boundary)
     return GridSpec((6, 5) if small else (12, 12), boundary)
 
@@ -125,7 +125,6 @@ def check_family_against_oracle(family):
     rule = make_rule(family)
     assert rule == ref_make_rule(family)  # offsets compared in order
     assert family.name == ref_family_name(family)
-    assert family.dimension == rule.dimension
     assert RuleFamily.parse(family.name) == family
 
 
@@ -351,7 +350,7 @@ class TestClosureLanes:
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_every_lane_matches_naive(self, family, boundary):
         rule = make_rule(family)
-        for dims in LANE_GRIDS[family.dimension]:
+        for dims in LANE_GRIDS[rule.dimension]:
             grid = GridSpec(dims, boundary)
             root = Stream((zlib.crc32(f"{family.name}/{boundary}/{dims}".encode()),))
             # densities 0.05 .. 0.75 across lanes, so some lanes fill and some do not
@@ -497,6 +496,67 @@ class TestWideStencils:
             assert np.array_equal(got, want.cells)
 
 
+class TestStencilsLongerThanTheGrid:
+    """On an open grid an offset at least as long as its axis never lands
+    inside, and the kernels close with only the offsets that do; with fewer
+    of them than theta the closure is the input.  Periodic grids keep every
+    offset.  Every kernel equals closure_naive either way."""
+
+    L = 7
+
+    @staticmethod
+    def check(rule, grid, key):
+        """Closes empty, full and random configurations with every kernel;
+        returns the configurations and their naive closures."""
+        root = Stream((zlib.crc32(key.encode()),))
+        occ = np.stack(
+            [empty_configuration(grid).cells, full_configuration(grid).cells]
+            + [random_configuration(grid, p, root.child(i)).cells
+               for i, p in enumerate((0.3, 0.6, 0.8, 0.9, 0.95, 0.98))]
+        )
+        want = np.stack([closure_naive(Configuration(grid, o), rule).cells for o in occ])
+        fast = np.stack([closure_fast(Configuration(grid, o), rule).cells for o in occ])
+        lanes = unpack_lanes(closure_lanes(pack_lanes(occ), rule, grid.periodic), len(occ))
+        assert np.array_equal(fast, want)
+        assert np.array_equal(lanes, want)
+        assert np.array_equal(closure_batch(occ, rule, periodic=grid.periodic), want)
+        return occ, want
+
+    @pytest.mark.parametrize("b", [L - 1, L, L + 1, 3 * L])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_one_b_longer_than_a_row(self, b, boundary):
+        rule = make_rule(RuleFamily.one_b(b))
+        occ, want = self.check(rule, GridSpec((self.L, 3), boundary), f"1b:{b}/{boundary}")
+        if boundary == "open" and b > self.L:
+            # 2L offsets land, fewer than theta = b + 1: nothing grows
+            assert np.array_equal(want, occ)
+
+    @pytest.mark.parametrize(
+        "name, dims",
+        [
+            ("abc:1,1,2", (4, 4, 2)),
+            ("abc:1,2,3", (4, 4, 2)),
+            ("abc:1,1,3", (3, 3, 3)),
+            ("abc:2,2,5", (3, 3, 2)),
+            ("abc:1,1,4", (3, 3, 1)),
+        ],
+    )
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_abc_longer_than_the_z_axis(self, name, dims, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        self.check(rule, GridSpec(dims, boundary), f"{name}/{dims}/{boundary}")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["standard1", "standard2", "standard3", "modified1", "modified2", "modified3",
+         "12", "duarte", "1b:1", "1b:5", "abc:1,1,1", "abc:1,2,3"],
+    )
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_single_cell_grid(self, name, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        self.check(rule, GridSpec((1,) * rule.dimension, boundary), f"one/{name}/{boundary}")
+
+
 ROW_FAMILIES = ["standard1", "standard2", "standard3", "modified1", "modified2", "modified3",
                 "12", "duarte", "1b:1", "1b:64", "1b:65"]
 
@@ -585,10 +645,9 @@ class TestClosureProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_translation_equivariance_periodic(self, seed, sx, sy, fi):
-        family = ALL_FAMILIES[fi]
-        if family.dimension != 2:
+        rule = make_rule(ALL_FAMILIES[fi])
+        if rule.dimension != 2:
             return
-        rule = make_rule(family)
         grid = GridSpec((12, 12), "periodic")
         cfg = random_configuration(grid, 0.3, Stream(seed))
         rolled = Configuration(grid, np.roll(cfg.cells, (sy, sx), axis=(0, 1)))
