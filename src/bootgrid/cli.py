@@ -21,9 +21,10 @@ rows.  Data rows are a pure function of the manifest minus its timestamp;
 of ``--threads`` and is checked the same way.  Exit codes: 0 on success,
 2 on usage errors, 1 on runtime errors.
 
-``fill``, ``pc`` and ``sweep`` share one path: one parser reads the
-grids of ``--L`` or ``--dims`` and checks them against the rule before
-any estimate runs, and one builder makes a row per (grid, seed) and p.
+``fill``, ``pc`` and ``sweep`` share one path: one helper declares
+their common flags, one parser reads the grids of ``--L`` or ``--dims``
+and checks them against the rule before any estimate runs, and one
+builder makes a row per (grid, seed) and p.
 ``fill`` and ``pc`` take one grid at ``--seed``; ``sweep`` takes grid
 ``i`` at ``derive_seed(seed, i)``, so its rows for that grid are the
 ``fill`` rows at that seed.  A library user makes such a table by
@@ -157,8 +158,8 @@ def _rule_and_grids(args, single: bool = False) -> tuple[RuleFamily, Rule, list[
     d = rule.dimension
     if (args.L is None) == (args.dims is None):
         raise ValueError("supply exactly one of --L and --dims")
-    if args.dims is None:  # --L is one int for fill and pc, a list for sweep
-        flag, text, groups = "--L", str(args.L), [(L,) * d for L in _int_list(str(args.L))]
+    if args.dims is None:
+        flag, text, groups = "--L", args.L, [(L,) * d for L in _int_list(args.L)]
     else:
         flag, text = "--dims", args.dims
         groups = (tuple(_int_list(group)) for group in text.split(";") if group.strip())
@@ -334,14 +335,24 @@ def _cmd_invert(args):
 # --------------------------------------------------------------------------
 
 
-def _thread_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_type(accepts, spelling: str):
+    """An argparse type: the integer ``text`` spells, if ``accepts`` it."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {spelling}, got {text!r}")
+        return value
+
+    return parse
+
+
+_thread_count = _int_type(lambda v: v >= 1, "an integer >= 1")
+# Stream keys are 64-bit: a seed outside this range would share another's stream.
+_seed = _int_type(lambda v: 0 <= v < 1 << 64, "an integer in [0, 2^64)")
 
 
 def _add_common(sub, seed: bool = True, formats: tuple[str, ...] = ("csv", "json")) -> None:
@@ -354,13 +365,21 @@ def _add_common(sub, seed: bool = True, formats: tuple[str, ...] = ("csv", "json
         help="worker threads (default $BOOTGRID_THREADS or 1); never changes results",
     )
     if seed:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_seed, default=0, help="0 <= seed < 2^64")
 
 
-def _add_grid_args(sub) -> None:
-    sub.add_argument("--L", type=int, default=None, help="side length (square/cubic grid)")
-    sub.add_argument("--dims", default=None, help="explicit side lengths, e.g. 32,16")
-    sub.add_argument("--boundary", choices=("open", "periodic"), default="open")
+def _add_estimate_parser(subs, name: str, summary: str, func):
+    """The subparser of fill, pc or sweep, with the flags the three share;
+    each adds its own flags to the parser returned."""
+    sp = subs.add_parser(name, help=summary)
+    sp.add_argument("--rule", required=True)
+    sp.add_argument("--L", default=None, help="comma-separated side lengths of equal-sided grids")
+    sp.add_argument("--dims", default=None, help="semicolon-separated dims groups, e.g. 16,8;32,16")
+    sp.add_argument("--boundary", choices=("open", "periodic"), default="open")
+    sp.add_argument("--trials", type=int, default=1000, help="trials (pc: per probe)")
+    _add_common(sp)
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,32 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, seed=False, formats=("csv",))
     sp.set_defaults(func=_cmd_close)
 
-    sp = subs.add_parser("fill", help="fill probability at given densities")
-    sp.add_argument("--rule", required=True)
-    _add_grid_args(sp)
+    sp = _add_estimate_parser(subs, "fill", "fill probability at given densities", _cmd_fill)
     sp.add_argument("--p", required=True, help="comma-separated densities")
-    sp.add_argument("--trials", type=int, default=1000)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_fill)
 
-    sp = subs.add_parser("pc", help="critical density by coupled bisection")
-    sp.add_argument("--rule", required=True)
-    _add_grid_args(sp)
+    sp = _add_estimate_parser(subs, "pc", "critical density by coupled bisection", _cmd_pc)
     sp.add_argument("--target", type=float, default=0.5)
     sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--trials", type=int, default=1000, help="trials per probe")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_pc)
 
-    sp = subs.add_parser("sweep", help="fill table over sizes and densities")
-    sp.add_argument("--rule", "--family", dest="rule", required=True)
-    sp.add_argument("--L", default=None, help="comma-separated side lengths")
-    sp.add_argument("--dims", default=None, help="semicolon-separated dims groups, e.g. 16,16;32,32")
-    sp.add_argument("--boundary", choices=("open", "periodic"), default="open")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--trials", type=int, default=1000)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_sweep)
+    sp = _add_estimate_parser(subs, "sweep", "fill table over sizes and densities", _cmd_sweep)
+    sp.add_argument("--p", required=True, help="comma-separated densities")
 
     sp = subs.add_parser("growth", help="rectangle growth probabilities, exact and MC")
     sp.add_argument("--event", choices=("east_column", "north_rows"), required=True)

@@ -136,10 +136,6 @@ class Configuration:
     def get(self, coord: tuple[int, ...]) -> bool:
         return bool(self.cells[tuple(reversed(coord))])
 
-    def flat(self) -> np.ndarray:
-        """Flat occupancy, index x + Lx*(y + Ly*z)."""
-        return self.cells.reshape(-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented

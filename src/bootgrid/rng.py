@@ -2,10 +2,10 @@
 
 Every random number in this package is a pure function of a stream key and
 a counter, with no hidden generator state.  A stream is identified by a
-64-bit seed plus a tuple of substream indices; drawing ``n`` uniforms from
-the same stream always yields the same array.  This is what makes trials
-reorderable: work can be chunked, threaded or re-run and the numbers never
-move.
+64-bit seed plus a tuple of substream indices, every part in [0, 2^64)
+(others are refused); drawing ``n`` uniforms from the same stream always
+yields the same array.  This is what makes trials reorderable: work can be
+chunked, threaded or re-run and the numbers never move.
 
 The mixing function is the SplitMix64 finaliser applied to
 ``hash(key) XOR counter``.  Keys are hashed by folding each component in
@@ -48,9 +48,15 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
 
 
 def _hash_key(key: tuple[int, ...]) -> int:
-    h = _mix_int(key[0] & _MASK64)
+    """The hash of a stream key, whose parts must lie in [0, 2^64): a part
+    outside it would be reduced mod 2^64 and silently share the stream of
+    another key."""
+    for part in key:
+        if not 0 <= part <= _MASK64:
+            raise ValueError(f"stream key parts must lie in [0, 2^64), got {part}")
+    h = _mix_int(key[0])
     for part in key[1:]:
-        h = _mix_int(h ^ (part & _MASK64))
+        h = _mix_int(h ^ part)
     return h
 
 

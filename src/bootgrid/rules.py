@@ -49,7 +49,10 @@ more than 255 offsets (``1b:b`` with b >= 127, ``abc`` with a+b+c >= 128)
 do not wrap.  On an open grid both packings step a threshold rule with
 only the offsets that land inside the grid, as the naive step skips the
 others, so a stencil far longer than the grid costs what its landing
-offsets cost.
+offsets cost.  On a periodic grid they step each offset wrapped to
+within half the grid, so a long stencil costs one plane per offset but
+no halo deeper than half the grid.  :func:`make_rule` refuses a stencil
+of more than 2^17 offsets.
 """
 
 from __future__ import annotations
@@ -126,15 +129,18 @@ class _Family(NamedTuple):
     """An entry of the family table.  The family's CLI name is ``prefix``
     followed by its ``arity`` integer parameters joined by commas.
     ``admits`` says whether parameters lie in the family, as ``spelling``
-    says in words, and ``rule`` builds the family's rule from admitted
-    ones; both take the parameters as arguments.  The check is apart from
-    the builder because the scaling laws take a ``1b:<b>`` of any size,
-    whose stencil of 2b + 2 offsets is never built for them."""
+    says in words, ``size`` counts the offsets of the family's stencil,
+    and ``rule`` builds the family's rule from admitted ones; all three
+    take the parameters as arguments.  The check and the count are apart
+    from the builder because the scaling laws take a ``1b:<b>`` of any
+    size, whose stencil of 2b + 2 offsets is never built for them, and
+    :func:`make_rule` refuses a stencil too large to build."""
 
     prefix: str
     arity: int
     spelling: str
     admits: Callable[..., bool]
+    size: Callable[..., int]
     rule: Callable[..., Rule]
 
 
@@ -142,24 +148,31 @@ class _Family(NamedTuple):
 # fixed order, which Rule equality and the modified unit-vector check read.
 _FAMILIES = {
     "standard": _Family(
-        "standard", 1, "standard<d> with d in 1..3", lambda d: d in (1, 2, 3),
+        "standard", 1, "standard<d> with d in 1..3", lambda d: d in (1, 2, 3), lambda d: 2 * d,
         lambda d: Rule("threshold", d, _axis_units(d), d),
     ),
     "modified": _Family(
-        "modified", 1, "modified<d> with d in 1..3", lambda d: d in (1, 2, 3),
+        "modified", 1, "modified<d> with d in 1..3", lambda d: d in (1, 2, 3), lambda d: 2 * d,
         lambda d: Rule("modified", d, _axis_units(d), d),
     ),
-    "one_two": _Family("12", 0, "12", lambda: True, lambda: _one_b_rule(2)),
-    "one_b": _Family("1b:", 1, "1b:<b> with b >= 1", lambda b: b >= 1, _one_b_rule),
+    "one_two": _Family("12", 0, "12", lambda: True, lambda: 6, lambda: _one_b_rule(2)),
+    "one_b": _Family(
+        "1b:", 1, "1b:<b> with b >= 1", lambda b: b >= 1, lambda b: 2 * b + 2, _one_b_rule
+    ),
     "duarte": _Family(
-        "duarte", 0, "duarte", lambda: True,
+        "duarte", 0, "duarte", lambda: True, lambda: 3,
         lambda: Rule("threshold", 2, ((0, 1), (1, 0), (0, -1)), 2),
     ),
     "abc": _Family(
         "abc:", 3, "abc:<a>,<b>,<c> with 1 <= a <= b <= c",
-        lambda a, b, c: 1 <= a <= b <= c, _abc_rule,
+        lambda a, b, c: 1 <= a <= b <= c, lambda a, b, c: 2 * (a + b + c), _abc_rule,
     ),
 }
+
+# The most stencil offsets make_rule builds: 1b:65535 has exactly this many
+# and builds in a fraction of a second, while an unbounded b would end in an
+# out-of-memory kill rather than a refusal.
+_MAX_OFFSETS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -226,8 +239,16 @@ class RuleFamily:
 
 
 def make_rule(family: RuleFamily) -> Rule:
-    """Build the concrete rule for a family."""
-    return _FAMILIES[family.kind].rule(*family.params)
+    """Build the concrete rule for a family.  A stencil of more than
+    ``_MAX_OFFSETS`` offsets is refused before it is built."""
+    entry = _FAMILIES[family.kind]
+    size = entry.size(*family.params)
+    if size > _MAX_OFFSETS:
+        raise ValueError(
+            f"rule {family.name} has {size} stencil offsets, "
+            f"more than the {_MAX_OFFSETS} a rule may have"
+        )
+    return entry.rule(*family.params)
 
 
 def _check_dimensions(grid: GridSpec, rule: Rule) -> None:
@@ -239,14 +260,24 @@ def _check_dimensions(grid: GridSpec, rule: Rule) -> None:
 
 def _landing_offsets(rule: Rule, dims: tuple[int, ...], periodic: bool):
     """The offsets the kernels step ``rule`` with on a grid of side lengths
-    ``dims`` (x first).  On an open grid a threshold rule's offset with a
-    component at least as long as its axis never lands inside the grid and
-    counts nothing, so it is left out; with fewer offsets left than
-    ``theta``, nothing can grow.  Periodic grids keep every offset, since
-    wrapped offsets count with multiplicity, and so do modified rules."""
-    if periodic or rule.kind != "threshold":
+    ``dims`` (x first); modified rules keep their unit vectors.
+
+    On an open grid a threshold rule's offset with a component at least as
+    long as its axis never lands inside the grid and counts nothing, so it
+    is left out; with fewer offsets left than ``theta``, nothing can grow.
+    On a periodic grid each component is wrapped into (-n/2, n/2] of its
+    axis, which reads the same cell, so no offset reaches past half the
+    grid.  Each stencil offset keeps one stepped offset, so offsets that
+    wrap onto one cell still count with multiplicity; one that wraps onto
+    the cell itself is left out, since the rule is evaluated only on empty
+    cells, where it counts nothing."""
+    if rule.kind != "threshold":
         return rule.offsets
-    return tuple(off for off in rule.offsets if all(abs(v) < n for v, n in zip(off, dims)))
+    if not periodic:
+        return tuple(off for off in rule.offsets if all(abs(v) < n for v, n in zip(off, dims)))
+    wrapped = (tuple((v + (n - 1) // 2) % n - (n - 1) // 2 for v, n in zip(off, dims))
+               for off in rule.offsets)
+    return tuple(off for off in wrapped if any(off))
 
 
 def _shifted_into(out: np.ndarray, src: np.ndarray, offset: tuple[int, ...], periodic: bool):

@@ -451,14 +451,21 @@ class TestExitCodes:
             (["sweep", "--L", "4", "--p", ","], "expected a comma-separated list of numbers"),
             (["fill", "--dims", "4,4;5,5", "--p", "0.5"], "fill and pc take one grid, got 2"),
             (["pc", "--dims", "4,4;5,5"], "fill and pc take one grid, got 2 in --dims"),
+            (["fill", "--L", "4,5", "--p", "0.5"], "fill and pc take one grid, got 2 in --L"),
+            (["pc", "--L", "4,5"], "fill and pc take one grid, got 2 in --L"),
+            (["fill", "--L", "4;5", "--p", "0.5"], "invalid literal for int() with base 10"),
+            (["pc", "--L", "4;5"], "invalid literal for int() with base 10: '4;5'"),
+            (["sweep", "--L", "4;5", "--p", "0.5"], "invalid literal for int() with base 10"),
         ],
-        ids=["sweep_L", "sweep_dims", "sweep_dims_blank", "sweep_p", "fill", "pc"],
+        ids=["sweep_L", "sweep_dims", "sweep_dims_blank", "sweep_p", "fill", "pc", "fill_L",
+             "pc_L", "fill_L_malformed", "pc_L_malformed", "sweep_L_malformed"],
     )
     def test_grid_lists_are_refused_by_flag_before_estimating(
         self, monkeypatch, capsys, argv, message
     ):
         # Before, the two sweeps exited with the library's "dims_list and
-        # p_list must be nonempty", and fill with int()'s message for '4;5'.
+        # p_list must be nonempty", and fill and pc took --L as one int, so
+        # that a list or a malformed --L exited 2 with argparse's message.
         def estimate_anyway(*_args, **_kwargs):
             raise AssertionError("estimated before the grids were checked")
 
@@ -468,6 +475,62 @@ class TestExitCodes:
                                  "--trials", "10")
         assert code == 1 and out == ""
         assert f"bootgrid: error: {message}" in err
+
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64), str((1 << 64) + 5)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fill", "--rule", "12", "--L", "8", "--p", "0.2"],
+            ["pc", "--rule", "12", "--L", "8"],
+            ["sweep", "--rule", "12", "--L", "8,12", "--p", "0.2"],
+            ["growth", "--event", "north_rows", "--size", "12", "--p", "0.1"],
+        ],
+        ids=["fill", "pc", "sweep", "growth"],
+    )
+    def test_seed_outside_64_bits_is_usage_error(self, monkeypatch, capsys, argv, seed):
+        # Before, a seed was reduced mod 2^64, so --seed -1 printed the rows
+        # of --seed 18446744073709551615, and growth enumerated first.
+        def run_anyway(*_args, **_kwargs):
+            raise AssertionError("ran before the seed was checked")
+
+        for name in ("fill_probability", "estimate_pc", "growth_polynomial"):
+            monkeypatch.setattr(f"bootgrid.cli.{name}", run_anyway)
+        code, out, err = run_cli(capsys, *argv, "--trials", "10", f"--seed={seed}")
+        assert code == 2 and out == ""
+        assert f"expected an integer in [0, 2^64), got '{seed}'" in err
+
+    def test_largest_seed_is_its_own_stream(self, capsys):
+        top = str((1 << 64) - 1)
+        rows = {}
+        for seed in ("0", top):
+            code, out, err = run_cli(capsys, "fill", "--rule", "12", "--L", "8",
+                                     "--p", "0.2,0.3", "--trials", "200", "--seed", seed)
+            assert code == 0, err
+            rows[seed] = data_lines(out)[1:]
+        assert rows[top][0].endswith(f",200,{top}")
+        assert [r.split(",")[3] for r in rows[top]] != [r.split(",")[3] for r in rows["0"]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fill", "--L", "8", "--p", "0.2"],
+            ["pc", "--L", "8"],
+            ["sweep", "--L", "8,12", "--p", "0.2"],
+            ["close", "--in", "-"],
+        ],
+        ids=["fill", "pc", "sweep", "close"],
+    )
+    def test_stencil_above_the_limit_is_refused(self, capsys, argv):
+        # Before, make_rule built any stencil; 1b:1000000000 ended in an
+        # out-of-memory kill.
+        code, out, err = run_cli(capsys, argv[0], "--rule", "1b:65536", *argv[1:])
+        assert code == 1 and out == ""
+        assert "rule 1b:65536 has 131074 stencil offsets, more than the 131072" in err
+
+    def test_sweep_family_alias_is_gone(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "12", "--L", "8", "--p", "0.2")
+        assert code == 2 and out == ""
 
 
 def table_rows(output: str, fmt: str) -> list:

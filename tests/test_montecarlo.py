@@ -11,6 +11,7 @@ from bootgrid import (
     RuleFamily,
     Stream,
     closure_naive,
+    derive_seed,
     estimate_pc,
     fill_probability,
     fill_probability_exact,
@@ -211,6 +212,33 @@ class TestDrawOccupancy:
         monkeypatch.setattr(Stream, "uniform_block", spy)
         assert np.array_equal(draw_occupancy(root, 3, 2, cells, 0.3), want)
         assert sizes == [1 << 16, 1000, 1 << 16, 1000]
+
+
+class TestStreamKeys:
+    """Key parts outside [0, 2^64) are refused: reduced mod 2^64 they would
+    share the stream of another key (seed -1 drew seed 2^64 - 1's trials)."""
+
+    @pytest.mark.parametrize("part", [-1, 1 << 64, -(1 << 64), (1 << 70) + 3])
+    def test_out_of_range_parts_are_refused(self, part):
+        message = r"stream key parts must lie in \[0, 2\^64\)"
+        for draw in (
+            lambda: Stream(part).uniforms(4),
+            lambda: Stream((7, part)).uniform_block(0, 2, 4),
+            lambda: Stream(7).child(part).uniforms(4),
+            lambda: derive_seed(part),
+            lambda: derive_seed(7, part),
+            lambda: fill_probability(STD2, GridSpec((4, 4)), 0.5, 10, seed=part),
+            lambda: estimate_growth_mc(GrowthEventSpec("east_column", 3), 0.5, 10, seed=part),
+        ):
+            with pytest.raises(ValueError, match=message):
+                draw()
+
+    def test_range_ends_are_distinct_streams(self):
+        top = (1 << 64) - 1
+        assert not np.array_equal(Stream(0).uniforms(8), Stream(top).uniforms(8))
+        assert derive_seed(top, 0) != derive_seed(0, 0) and 0 <= derive_seed(top, top) <= top
+        est = fill_probability(STD2, GridSpec((4, 4)), 0.5, 10, seed=top)
+        assert est.seed == top
 
 
 class TestFillExact:

@@ -18,6 +18,7 @@ from bootgrid import (
     closure_lanes,
     closure_naive,
     empty_configuration,
+    fill_probability,
     full_configuration,
     is_stable,
     make_rule,
@@ -25,7 +26,8 @@ from bootgrid import (
     random_configuration,
     step,
 )
-from bootgrid.rules import pack_lanes, unpack_lanes
+from bootgrid.montecarlo import _STREAM_DOMAIN
+from bootgrid.rules import _FAMILIES, pack_lanes, unpack_lanes
 from reference import ref_closure, ref_family_name, ref_make_rule, ref_step
 
 ALL_FAMILIES = [
@@ -124,6 +126,7 @@ TABLE_NAMES = [
 def check_family_against_oracle(family):
     rule = make_rule(family)
     assert rule == ref_make_rule(family)  # offsets compared in order
+    assert _FAMILIES[family.kind].size(*family.params) == len(rule.offsets)
     assert family.name == ref_family_name(family)
     assert RuleFamily.parse(family.name) == family
 
@@ -166,6 +169,21 @@ class TestFamilyTable:
     def test_large_parameters_build_no_rule(self):
         # The scaling laws take any b; only make_rule builds the stencil.
         assert RuleFamily.parse("1b:1000000000").name == "1b:1000000000"
+
+    @pytest.mark.parametrize(
+        "name, size",
+        [("1b:65536", 131074), ("abc:1,1,65535", 131074), ("abc:21846,21846,21846", 131076)],
+    )
+    def test_stencil_above_the_limit_is_refused(self, name, size):
+        # Before, make_rule built any stencil, and 1b:1000000000 ended in an
+        # out-of-memory kill.
+        message = f"rule {name} has {size} stencil offsets, more than the 131072 a rule may have"
+        with pytest.raises(ValueError, match=message):
+            make_rule(RuleFamily.parse(name))
+
+    @pytest.mark.parametrize("name", ["1b:65535", "abc:1,1,65534"])
+    def test_stencil_at_the_limit_is_built(self, name):
+        assert len(make_rule(RuleFamily.parse(name)).offsets) == 1 << 17
 
 
 class TestStepAgainstReference:
@@ -499,8 +517,11 @@ class TestWideStencils:
 class TestStencilsLongerThanTheGrid:
     """On an open grid an offset at least as long as its axis never lands
     inside, and the kernels close with only the offsets that do; with fewer
-    of them than theta the closure is the input.  Periodic grids keep every
-    offset.  Every kernel equals closure_naive either way."""
+    of them than theta the closure is the input.  On a periodic grid the
+    kernels step every offset wrapped to within half its axis, counted with
+    multiplicity, and drop those that wrap onto the cell itself.  Every
+    kernel equals closure_naive either way, and the per-cell reference
+    closure where the grid and stencil are small."""
 
     L = 7
 
@@ -520,15 +541,21 @@ class TestStencilsLongerThanTheGrid:
         assert np.array_equal(fast, want)
         assert np.array_equal(lanes, want)
         assert np.array_equal(closure_batch(occ, rule, periodic=grid.periodic), want)
+        if grid.cells * len(rule.offsets) <= 2000:
+            ref = np.stack([ref_closure(Configuration(grid, o), rule).cells for o in occ])
+            assert np.array_equal(ref, want)
         return occ, want
 
-    @pytest.mark.parametrize("b", [L - 1, L, L + 1, 3 * L])
+    @pytest.mark.parametrize("dims", [(L, 3), (3, 2), (2, 3), (1, 3), (3, 1)], ids=str)
+    @pytest.mark.parametrize("scale, shift", [(1, -1), (1, 0), (1, 1), (2, 1), (3, 0), (5, 0)],
+                             ids=["L-1", "L", "L+1", "2L+1", "3L", "5L"])
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
-    def test_one_b_longer_than_a_row(self, b, boundary):
+    def test_one_b_longer_than_a_row(self, dims, scale, shift, boundary):
+        b = max(1, scale * dims[0] + shift)
         rule = make_rule(RuleFamily.one_b(b))
-        occ, want = self.check(rule, GridSpec((self.L, 3), boundary), f"1b:{b}/{boundary}")
-        if boundary == "open" and b > self.L:
-            # 2L offsets land, fewer than theta = b + 1: nothing grows
+        occ, want = self.check(rule, GridSpec(dims, boundary), f"1b:{b}/{dims}/{boundary}")
+        if boundary == "open" and b > dims[0]:
+            # a cell sees at most Lx - 1 + 2 < theta = b + 1 occupied cells
             assert np.array_equal(want, occ)
 
     @pytest.mark.parametrize(
@@ -539,6 +566,9 @@ class TestStencilsLongerThanTheGrid:
             ("abc:1,1,3", (3, 3, 3)),
             ("abc:2,2,5", (3, 3, 2)),
             ("abc:1,1,4", (3, 3, 1)),
+            ("abc:1,2,7", (1, 2, 3)),
+            ("abc:2,3,11", (3, 1, 2)),
+            ("abc:3,3,3", (2, 3, 1)),
         ],
     )
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -555,6 +585,22 @@ class TestStencilsLongerThanTheGrid:
     def test_single_cell_grid(self, name, boundary):
         rule = make_rule(RuleFamily.parse(name))
         self.check(rule, GridSpec((1,) * rule.dimension, boundary), f"one/{name}/{boundary}")
+
+    @pytest.mark.parametrize(
+        "name, dims, p",
+        [("1b:7", (7, 3), 0.8), ("1b:35", (7, 3), 0.9), ("1b:15", (3, 2), 0.6),
+         ("1b:40", (8, 8), 0.7), ("abc:1,2,7", (2, 3, 3), 0.8)],
+    )
+    def test_fill_probability_on_a_periodic_grid(self, name, dims, p):
+        rule, grid = make_rule(RuleFamily.parse(name)), GridSpec(dims, "periodic")
+        est = fill_probability(rule, grid, p, 96, seed=5)
+        root = Stream((5, _STREAM_DOMAIN))
+        filled = sum(
+            closure_naive(random_configuration(grid, p, root.child(i)), rule).is_full()
+            for i in range(96)
+        )
+        assert 0 < filled < 96
+        assert est.mean == filled / 96
 
 
 ROW_FAMILIES = ["standard1", "standard2", "standard3", "modified1", "modified2", "modified3",
