@@ -284,7 +284,7 @@ def _cmd_sweep(args):
 
 def _cmd_growth(args):
     spec = GrowthEventSpec(args.event, args.size)
-    p_list = _mc_p_list(args.p, args.trials)  # before the enumeration, which can take seconds
+    p_list = _mc_p_list(args.p, args.trials)  # before the exact count
     poly = growth_polynomial(spec)
     rows = []
     for p in p_list:

@@ -39,8 +39,8 @@ bit-parallel kernel in two packings, and by a naive oracle:
     its slowest grid settles.  ``closure_batch`` packs a stack of boolean
     grids into lanes and unpacks the result, for the Monte Carlo trial
     blocks of fill estimates and of the growth events; exact subset
-    enumeration (``fill_success_counts`` and the exact growth
-    polynomials) builds its lanes directly from the subset indices.
+    enumeration (``fill_success_counts``) builds its lanes directly from
+    the subset indices.
 
 All of them agree bit for bit.  The naive step counts neighbours in the
 narrowest unsigned type that holds the stencil size, and the kernel's

@@ -407,10 +407,10 @@ class TestExitCodes:
     def test_growth_refuses_a_size_above_the_cap_before_enumerating(
         self, monkeypatch, capsys, event, size, cap
     ):
-        def enumerate_anyway(*args):
-            raise AssertionError("enumerated above the cap")
+        def count_anyway(*args, **kwargs):
+            raise AssertionError("counted above the cap")
 
-        monkeypatch.setattr("bootgrid.growth.subset_success_counts", enumerate_anyway)
+        monkeypatch.setattr("bootgrid.growth.growth_success_counts", count_anyway)
         code, out, err = run_cli(capsys, "growth", "--event", event, "--size", str(size),
                                  "--p", "0.1", "--trials", "10")
         assert code == 1 and out == ""

@@ -21,7 +21,7 @@ from bootgrid import (
     row_growth_polynomial,
     strategy_range,
 )
-from bootgrid.growth import growth_polynomial
+from bootgrid.growth import COUNT_MAX_SIZE, growth_polynomial, growth_success_counts
 from bootgrid.montecarlo import subset_success_counts
 
 ONE_TWO = make_rule(RuleFamily.one_two())
@@ -179,12 +179,83 @@ class TestGrowthPolynomial:
 
     @pytest.mark.parametrize("direction, size", [("east_column", 21), ("north_rows", 13)])
     def test_refuses_a_size_above_the_cap_before_enumerating(self, monkeypatch, direction, size):
-        def enumerate_anyway(*args):
-            raise AssertionError("enumerated above the cap")
+        def count_anyway(*args, **kwargs):
+            raise AssertionError("counted above the cap")
 
-        monkeypatch.setattr("bootgrid.growth.subset_success_counts", enumerate_anyway)
+        monkeypatch.setattr("bootgrid.growth.growth_success_counts", count_anyway)
         with pytest.raises(ValueError, match=f"{direction} enumeration supports size <= {size - 1}"):
             growth_polynomial(GrowthEventSpec(direction, size))
+
+
+def enumerated_counts(spec: GrowthEventSpec, rule=ONE_TWO) -> list[int]:
+    """The counts of closing every helper configuration of the event."""
+    grid, helpers, targets = spec.layout()
+    return subset_success_counts(rule, grid, helpers, targets).tolist()
+
+
+class TestColumnAutomatonCounts:
+    """growth_success_counts against the enumeration of every helper
+    configuration, including sizes above the caps of growth_polynomial."""
+
+    @pytest.mark.parametrize("x", range(1, 15))
+    def test_north_rows_equal_the_enumeration(self, x):
+        spec = GrowthEventSpec("north_rows", x)
+        assert growth_success_counts(spec) == enumerated_counts(spec)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_east_column_equals_the_enumeration(self, n):
+        spec = GrowthEventSpec("east_column", n)
+        assert growth_success_counts(spec) == enumerated_counts(spec)
+
+    @pytest.mark.parametrize("family", ["1b:1", "1b:3", "duarte"])
+    @pytest.mark.parametrize("x", range(1, 10))
+    def test_other_threshold_rules_on_the_north_rows_layout(self, family, x):
+        rule = make_rule(RuleFamily.parse(family))
+        spec = GrowthEventSpec("north_rows", x)
+        assert growth_success_counts(spec, rule) == enumerated_counts(spec, rule)
+
+    @pytest.mark.parametrize("family", ["modified2", "abc:1,1,1"])
+    def test_refuses_a_rule_that_is_not_a_2d_threshold_rule(self, family):
+        rule = make_rule(RuleFamily.parse(family))
+        with pytest.raises(ValueError, match="growth events take a 2-dimensional threshold rule"):
+            growth_success_counts(GrowthEventSpec("north_rows", 3), rule)
+
+    def test_one_and_two_helpers_in_closed_form(self):
+        """Rule 12, ``north_rows`` of width x: with one helper no
+        configuration fills row 1 (x >= 2); with two, 8x - 16 do (x >= 4).
+
+        Ignition: two occupied row-1 cells at most 4 apart fill row 1.  A
+        row-1 cell has the occupied row 0 below it, so it fills once two
+        occupied row-1 cells lie within distance 2 of it.  A pair 3 or 4
+        apart so fills a cell between them, leaving gaps of at most 2; a
+        pair 2 apart fills the cell between; an adjacent pair fills the
+        cells next to it on both sides, and so on to both ends of the row.
+        Before ignition no row-1 cell can fill without making such a pair:
+        row 0 and the row-2 cell above give it at most two neighbours, so
+        the third must be an occupied row-1 cell within distance 2.
+
+        One helper never fills row 1: an empty row-1 cell sees row 0 and
+        at most that helper, and a row-2 cell, on the grid's top row, sees
+        only its row-1 cell below and row-2 cells.  Two helpers fill it exactly when
+        they are a row-1 pair at distance 1 to 4, 4x - 10 pairs (x - d at
+        distance d), or a row-1 helper and a row-2 helper at horizontal
+        distance 1 or 2, 4x - 6 placements (2(x - 1) + 2(x - 2)), where the
+        row-1 cell below the row-2 helper has three occupied neighbours.
+        Any other pair leaves every empty cell at most two occupied
+        neighbours.
+        """
+        for x in range(2, 65):
+            counts = growth_success_counts(GrowthEventSpec("north_rows", x))
+            assert counts[1] == 0
+            if x >= 4:
+                assert counts[2] == (4 * x - 10) + (4 * x - 6) == 8 * x - 16
+
+    def test_counts_up_to_the_size_bound_and_refuses_past_it(self):
+        counts = growth_success_counts(GrowthEventSpec("north_rows", COUNT_MAX_SIZE))
+        assert counts[2] == 8 * COUNT_MAX_SIZE - 16
+        assert counts[-2:] == [2 * COUNT_MAX_SIZE, 1]  # all helpers, or all but one
+        with pytest.raises(ValueError, match=f"growth counts support size <= {COUNT_MAX_SIZE}"):
+            growth_success_counts(GrowthEventSpec("north_rows", COUNT_MAX_SIZE + 1))
 
 
 class TestPolynomialShape:
