@@ -61,7 +61,6 @@ trials of the same grid with ``rules.closure_batch``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, exp, expm1, log1p
@@ -73,19 +72,15 @@ from .lattice import GridSpec
 from .montecarlo import Estimate, sample_estimate
 from .rules import Rule, RuleFamily, closure_batch, make_rule
 
-COLUMN_MAX_HEIGHT = 20
-ROW_MAX_WIDTH = 12
-# The largest size growth_polynomial accepts for each event.  Counting costs
-# little at any size (growth_success_counts); the caps guard
-# GrowthPolynomial.evaluate, whose monomial expansion cancels in floating
-# point: row_growth_polynomial(12).evaluate(0.9) already reads above 1.
-# Lifting them waits for a stable evaluation, which changes the last digits
-# of growth rows and so needs the benchmark's recorded digests renewed.
-_SIZE_CAPS = {"east_column": COLUMN_MAX_HEIGHT, "north_rows": ROW_MAX_WIDTH}
 # The largest size growth_success_counts counts at.  Its integers grow with
 # the square of the size, so the count's cost grows with the cube: 0.25-0.45 s
 # at this size and 2.7 s at twice it on a shared 2-core Xeon VM.
 COUNT_MAX_SIZE = 256
+# The most contents of the next r cross-sections an automaton is built for:
+# a summary holds one entry per content, and the states grow faster still
+# (growth_success_counts has the build times).  On north_rows 1b:4 has 341
+# contents and 1b:5 has 1365.
+_MAX_CONTENTS = 512
 
 _ONE_TWO = make_rule(RuleFamily.one_two())
 _STREAM_DOMAIN = 0x67726F77  # distinct from the fill-probability domain
@@ -94,18 +89,29 @@ _STREAM_DOMAIN = 0x67726F77  # distinct from the fill-probability domain
 class _Section(NamedTuple):
     """One cross-section of an event's strip.  The strip runs along grid
     axis ``axis`` (0 is x); across it are ``depth`` cells, and ``held``,
-    ``helpers`` and ``targets`` list cells by their coordinate across."""
+    ``helpers`` and ``targets`` list cells by their coordinate across.
+    ``max_size`` is the largest size :func:`growth_polynomial` accepts."""
 
     axis: int
     depth: int
     held: tuple[int, ...]
     helpers: tuple[int, ...]
     targets: tuple[int, ...]
+    max_size: int
 
 
+# Counting costs little at any size (growth_success_counts); max_size guards
+# GrowthPolynomial.evaluate, whose monomial expansion cancels in floating
+# point: row_growth_polynomial(12).evaluate(0.9) already reads above 1.
+# Lifting it waits for a stable evaluation, which changes the last digits of
+# growth rows and so needs the benchmark's recorded digests renewed.
 _SECTIONS = {
-    "north_rows": _Section(axis=0, depth=3, held=(0,), helpers=(1, 2), targets=(1,)),
-    "east_column": _Section(axis=1, depth=3, held=(0, 1), helpers=(2,), targets=(2,)),
+    "north_rows": _Section(
+        axis=0, depth=3, held=(0,), helpers=(1, 2), targets=(1,), max_size=12
+    ),
+    "east_column": _Section(
+        axis=1, depth=3, held=(0, 1), helpers=(2,), targets=(2,), max_size=20
+    ),
 }
 
 
@@ -156,40 +162,36 @@ class GrowthEventSpec:
 
 @dataclass(frozen=True)
 class GrowthPolynomial:
-    """Event probability as an exact polynomial in p.
+    """Event probability as a polynomial in p with integer coefficients.
 
-    ``coeffs[k]`` multiplies p**k.  Counting arguments over helper subsets
-    always produce integer coefficients; they are stored as Fractions so
-    evaluation can stay exact when wanted.
+    ``coeffs[k]`` multiplies p**k.  :meth:`evaluate` is Horner's rule in
+    the arithmetic of ``p``: a float at a float p, exact at an int or a
+    ``fractions.Fraction`` p (``evaluate_exact`` is the same method).
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
-    def evaluate(self, p: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * p + float(c)
-        return acc
-
-    def evaluate_exact(self, p: Fraction) -> Fraction:
-        acc = Fraction(0)
+    def evaluate(self, p):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * p + c
         return acc
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+    evaluate_exact = evaluate
+
+    def coefficient(self, k: int) -> int:
+        return self.coeffs[k] if k < len(self.coeffs) else 0
 
 
 def _counts_to_polynomial(success_by_k: Sequence[int], m: int) -> GrowthPolynomial:
     """Expand sum_k c_k p^k (1-p)^(m-k) into monomial coefficients."""
     coeffs = [0] * (m + 1)
-    for k, ck in enumerate(int(c) for c in success_by_k):
+    for k, ck in enumerate(success_by_k):
         if ck == 0:
             continue
         for j in range(m - k + 1):
             coeffs[k + j] += ck * comb(m - k, j) * (-1) ** j
-    return GrowthPolynomial(tuple(Fraction(c) for c in coeffs))
+    return GrowthPolynomial(tuple(coeffs))
 
 
 def _mask(cells: Sequence[int]) -> int:
@@ -237,6 +239,14 @@ def _column_automaton(rule: Rule, direction: str) -> tuple[list[list[int]], list
 
     held, targets = _mask(section.held), _mask(section.targets)
     inside = [held | free for free in range(1 << depth) if not free & held]
+    # Contents are runs of 0 to r inside cross-sections: sum_{k<=r} |inside|^k.
+    count = (len(inside) ** (reach + 1) - 1) // (len(inside) - 1)
+    if count > _MAX_CONTENTS:
+        shown = count if count < 1 << 64 else "more than 2^64"
+        raise ValueError(
+            f"growth counts on {direction} take at most {_MAX_CONTENTS} contents of the "
+            f"next cross-sections; a rule of reach {reach} along the strip has {shown}"
+        )
     contents = [
         (*run, *(0,) * (reach - k)) for k in range(reach + 1) for run in product(inside, repeat=k)
     ]
@@ -287,7 +297,9 @@ def growth_success_counts(spec: GrowthEventSpec, rule: Rule = _ONE_TWO) -> list[
     rule and event, at a cost that grows fast with the rule's reach along
     the strip: on the ``north_rows`` layout rule ``12`` has 49 states and
     builds in about 10 ms, ``1b:3`` 716 states in 0.5-0.7 s, and ``1b:4``
-    10460 states in 41 s."""
+    10460 states in 41 s.  A rule whose reach gives more than
+    ``_MAX_CONTENTS`` contents, such as ``1b:5`` on ``north_rows``, is
+    refused with ``ValueError`` before the build."""
     if spec.size > COUNT_MAX_SIZE:
         raise ValueError(f"growth counts support size <= {COUNT_MAX_SIZE}, got {spec.size}")
     next_state, accepting = _column_automaton(rule, spec.direction)
@@ -312,9 +324,11 @@ def growth_success_counts(spec: GrowthEventSpec, rule: Rule = _ONE_TWO) -> list[
 def growth_polynomial(spec: GrowthEventSpec) -> GrowthPolynomial:
     """Exact probability of the event as a polynomial in p, from the
     success counts of :func:`growth_success_counts`."""
-    cap = _SIZE_CAPS[spec.direction]
+    cap = _SECTIONS[spec.direction].max_size
     if spec.size > cap:
-        raise ValueError(f"{spec.direction} enumeration supports size <= {cap}, got {spec.size}")
+        raise ValueError(
+            f"{spec.direction} exact probabilities support size <= {cap}, got {spec.size}"
+        )
     return _counts_to_polynomial(growth_success_counts(spec), spec.helper_cells)
 
 

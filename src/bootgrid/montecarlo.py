@@ -144,18 +144,25 @@ def fill_probability(
     seed: int,
     threads: int = 1,
 ) -> Estimate:
-    """Fraction of trials whose closure is the full grid."""
+    """Fraction of trials whose closure is the full grid.
+
+    Only the lane-kernel path uses ``threads``: the per-trial path's
+    ``closure_fast`` holds the GIL through many small steps, so a second
+    thread would only wait."""
     _check_dimensions(grid, rule)
+    batch = grid.cells <= _BATCH_CELL_LIMIT
 
     def filled(occ: np.ndarray) -> int:
         m = len(occ)
         occ = occ.reshape((m,) + grid.shape)
-        if grid.cells <= _BATCH_CELL_LIMIT:
+        if batch:
             closed = closure_batch(occ, rule, periodic=grid.periodic)
             return int(closed.reshape(m, -1).all(axis=1).sum())
         return sum(closure_fast(Configuration(grid, trial), rule).is_full() for trial in occ)
 
-    return sample_estimate(filled, grid.cells, p, trials, seed, _STREAM_DOMAIN, threads)
+    return sample_estimate(
+        filled, grid.cells, p, trials, seed, _STREAM_DOMAIN, threads if batch else 1
+    )
 
 
 def fill_success_counts(rule: Rule, grid: GridSpec) -> np.ndarray:

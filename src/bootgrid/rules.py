@@ -459,11 +459,8 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     board = octets.view(np.uint64)
     tail = np.uint64((1 << (lx - 64 * (width - 1))) - 1)  # live bits of the last word
 
-    # The counter has the digits of the whole stencil's size, as many as the
-    # comparison reads bits of theta; those the kept offsets never reach are 0.
-    digits = len(rule.offsets).bit_length() if rule.kind == "threshold" else 0
+    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
     scratch = np.empty((2 + digits, n_rows, width), dtype=np.uint64)
-    scratch[2 + len(offsets).bit_length() :] = 0
     changed = np.ones(n_rows + 1, dtype=bool)
     changed[n_rows] = False
     while True:
@@ -615,9 +612,8 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     inner = tuple(slice(b, b + n) for b, n in zip(before, shape))
 
     live = np.arange(len(entries))  # result index of each entry still stepped
-    digits = len(rule.offsets).bit_length() if rule.kind == "threshold" else 0  # see closure_fast
+    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
     scratch = np.empty((2 + digits, live.size * size), dtype=np.uint64)
-    scratch[2 + len(offsets).bit_length() :] = 0
     flat = np.zeros(live.size * size + 2 * margin, dtype=np.uint64)
     padded = flat[margin : margin + live.size * size].reshape((-1,) + padded_shape)
     padded[(...,) + inner] = entries

@@ -414,7 +414,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "growth", "--event", event, "--size", str(size),
                                  "--p", "0.1", "--trials", "10")
         assert code == 1 and out == ""
-        assert f"{event} enumeration supports size <= {cap}, got {size}" in err
+        assert f"{event} exact probabilities support size <= {cap}, got {size}" in err
 
     def test_missing_grid_is_runtime_error(self, capsys):
         code, _, _ = run_cli(capsys, "fill", "--rule", "standard2", "--p", "0.5")

@@ -148,6 +148,21 @@ class TestFillProbability:
             succ += closure_naive(cfg, STD2).is_full()
         assert est.mean == succ / 40
 
+    def test_per_trial_path_runs_on_one_thread(self, monkeypatch):
+        # closure_fast holds the GIL, so a second thread would only wait:
+        # 40 trials of 4900 cells are four blocks, and none goes to a pool.
+        import bootgrid.montecarlo as mc
+
+        grid = GridSpec((70, 70))
+        one = fill_probability(STD2, grid, 0.15, 40, seed=19, threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started on the per-trial path")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
+        assert -(-40 // mc._chunk_size(grid.cells, 40, 2)) > 1
+        assert fill_probability(STD2, grid, 0.15, 40, seed=19, threads=2) == one
+
     def test_coupled_monotone_in_p(self):
         grid = GridSpec((6, 6))
         a = fill_probability(STD2, grid, 0.30, 4000, seed=11)
