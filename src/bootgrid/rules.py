@@ -23,41 +23,55 @@ bit-parallel kernel in two packings, and by a naive oracle:
 
 * ``closure_naive`` iterates the synchronous step until nothing changes;
   it is the oracle the kernel is tested against.
-* The kernel's synchronous step is a bit-sliced neighbour counter
-  compared with ``theta`` in bit logic, or the per-axis OR/AND of the
-  modified rule, over uint64 words whose bits are cells or configurations:
+* The kernel's synchronous step is a short list of whole-array bit
+  operations, calls ``(ufunc, a, b, out)`` that one generator
+  (``_step_ops``) gives for the step's shifted neighbour planes.  A
+  threshold rule takes whichever of two forms makes fewer calls for its
+  plane weights and ``theta``: a bit-sliced counter compared with
+  ``theta`` in bit logic, or "at least k" accumulators; the modified rule
+  takes the per-axis OR/AND.  The words are unsigned integers whose bits
+  are cells or configurations:
 
-  - ``closure_fast`` packs the cells of a row, 64 to a word (bitboards),
-    for one large configuration.  x offsets are word shifts, y and z
-    offsets are row lookups, and only rows within reach of a row that
-    changed in the last step are stepped.
+  - ``closure_fast`` packs the cells of a row, 64 to a uint64 word
+    (bitboards), for one large configuration.  x offsets are word shifts,
+    y and z offsets are row lookups, and only rows within reach of a row
+    that changed in the last step are stepped.  Its planes are made one
+    at a time and each call runs as it comes.
   - ``closure_lanes`` packs configurations, one per bit lane (multispin
-    coding), closing up to 64 configurations per word.  Each grid of
-    words in a batch settles on its own: once half of those still being
-    stepped have stopped changing, they are set aside and the rest are
-    gathered into a smaller array, so a batch is not stepped whole until
-    its slowest grid settles.  ``closure_batch`` packs a stack of boolean
-    grids into lanes and unpacks the result, for the Monte Carlo trial
-    blocks of fill estimates and of the growth events; exact subset
-    enumeration (``fill_success_counts``) builds its lanes directly from
-    the subset indices.
+    coding), closing as many configurations per word as the word has
+    bits.  Its planes are fixed slices of one flat array, so the calls are
+    built once and each step only runs them.  Each grid of words in a
+    batch settles on its own: once half of those still being stepped have
+    stopped changing, they are set aside and the rest are gathered into a
+    smaller array (and the calls built again for it), so a batch is not
+    stepped whole until its slowest grid settles.  ``closure_batch`` packs
+    a stack of boolean grids into lanes and unpacks the result, for the
+    Monte Carlo trial blocks of fill estimates and of the growth events:
+    64 to a uint64 word, or a block of fewer than 64 into one word of the
+    narrowest unsigned type that holds it (uint8, uint16 or uint32), since
+    a step costs the same number of calls at any width and a narrow word
+    moves fewer bytes.  Exact subset enumeration (``fill_success_counts``)
+    builds uint64 lanes directly from the subset indices.
 
 All of them agree bit for bit.  The naive step counts neighbours in the
 narrowest unsigned type that holds the stencil size, and the kernel's
-counter has as many digit planes as that size has bits, so stencils of
-more than 255 offsets (``1b:b`` with b >= 127, ``abc`` with a+b+c >= 128)
-do not wrap.  On an open grid both packings step a threshold rule with
-only the offsets that land inside the grid, as the naive step skips the
-others, so a stencil far longer than the grid costs what its landing
-offsets cost.  On a periodic grid they step each offset wrapped to
-within half the grid, so a long stencil costs one plane per offset but
-no halo deeper than half the grid.  :func:`make_rule` refuses a stencil
-of more than 2^17 offsets.
+counter has as many digit planes as its planes' total weight has bits,
+so stencils of more than 255 offsets (``1b:b`` with b >= 127, ``abc``
+with a+b+c >= 128) do not wrap.  On an open grid both packings step a
+threshold rule with only the offsets that land inside the grid, as the
+naive step skips the others, so a stencil far longer than the grid costs
+what its landing offsets cost.  On a periodic grid they wrap each offset
+to within half the grid and step the offsets that wrap onto one cell as
+one plane, weighted by their number, so a long stencil costs one plane
+per cell it reaches and no halo deeper than half the grid.
+:func:`make_rule` refuses a stencil of more than 2^17 offsets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -258,26 +272,30 @@ def _check_dimensions(grid: GridSpec, rule: Rule) -> None:
         )
 
 
-def _landing_offsets(rule: Rule, dims: tuple[int, ...], periodic: bool):
+def _landing_offsets(rule: Rule, dims: tuple[int, ...], periodic: bool) -> dict:
     """The offsets the kernels step ``rule`` with on a grid of side lengths
-    ``dims`` (x first); modified rules keep their unit vectors.
+    ``dims`` (x first), each mapped to its weight, the number of stencil
+    offsets it stands for; modified rules keep their unit vectors.
 
     On an open grid a threshold rule's offset with a component at least as
     long as its axis never lands inside the grid and counts nothing, so it
-    is left out; with fewer offsets left than ``theta``, nothing can grow.
+    is left out; with a total weight below ``theta``, nothing can grow.
     On a periodic grid each component is wrapped into (-n/2, n/2] of its
     axis, which reads the same cell, so no offset reaches past half the
-    grid.  Each stencil offset keeps one stepped offset, so offsets that
-    wrap onto one cell still count with multiplicity; one that wraps onto
-    the cell itself is left out, since the rule is evaluated only on empty
-    cells, where it counts nothing."""
+    grid.  Stencil offsets that wrap onto one cell become one offset whose
+    weight is their number, so a neighbour still counts with multiplicity
+    but costs one plane; one that wraps onto the cell itself is left out,
+    since the rule is evaluated only on empty cells, where it counts
+    nothing."""
     if rule.kind != "threshold":
-        return rule.offsets
+        return dict.fromkeys(rule.offsets, 1)
     if not periodic:
-        return tuple(off for off in rule.offsets if all(abs(v) < n for v, n in zip(off, dims)))
+        return dict.fromkeys(
+            (off for off in rule.offsets if all(abs(v) < n for v, n in zip(off, dims))), 1
+        )
     wrapped = (tuple((v + (n - 1) // 2) % n - (n - 1) // 2 for v, n in zip(off, dims))
                for off in rule.offsets)
-    return tuple(off for off in wrapped if any(off))
+    return Counter(off for off in wrapped if any(off))
 
 
 def _shifted_into(out: np.ndarray, src: np.ndarray, offset: tuple[int, ...], periodic: bool):
@@ -373,6 +391,126 @@ def closure_naive(config: Configuration, rule: Rule) -> Configuration:
             return current
 
 
+def _step_ops(form, planes, weights, theta, out, scratch):
+    """The calls of one synchronous step's predicate, as tuples
+    ``(ufunc, a, b, into)`` to be run as ``ufunc(a, b, out=into)`` in
+    order.  They leave ``out`` set where the rule holds: for a threshold
+    rule, where plane ``i`` counted ``weights[i]`` times gives at least
+    ``theta``; for the modified rule (form ``"axes"``, ``planes`` the +1
+    and -1 neighbour planes of each axis in turn), where every axis has
+    one of its two.
+
+    ``planes`` is read once, in order, so a caller may make each plane
+    when it is drawn and run each call as it comes; a caller whose planes
+    stay put may keep the calls and run them on every step.  A call may
+    read a plane after later ones are drawn, so no plane may change before
+    the last call has run.  The calls write ``out`` and the ``scratch``
+    buffers, as many as :func:`_step_form` gives for the form; a buffer
+    is only written once the form needs it.  A threshold rule has two
+    forms:
+
+    * ``"counter"``, a vertical counter: ``scratch[1 + j]`` holds bit
+      ``j`` of the count at every bit position, and a plane is added at
+      each set bit of its weight, with a carry that ripples only through
+      the digits a count that large can reach.  The comparison with
+      ``theta`` runs from its lowest set bit upward: ``count >= theta`` on
+      bits ``0..j`` is ``d_j & ge`` where bit ``j`` of theta is 1 and
+      ``d_j | ge`` where it is 0.
+    * ``"levels"``, at-least accumulators: level ``k`` (``scratch[k]``,
+      and ``out`` for ``theta``) holds the cells where the planes so far
+      reach ``k``, and a plane ``x`` of weight ``w`` makes it
+      ``a_k | (a_{k-w} & x)`` (``a_k | x`` for ``k <= w``).  A level is
+      dropped once the weight still to come cannot lift it to ``theta``.
+
+    A digit or level that is still zero costs no call, and one that equals
+    a plane is that plane until it changes.  ``scratch[0]`` is the
+    temporary of both forms.
+    """
+    spare = scratch[0]
+    if form == "axes":
+        planes = iter(planes)
+        for axis, (plus, minus) in enumerate(zip(planes, planes)):
+            into = spare if axis else out
+            yield np.bitwise_or, plus, minus, into
+            if axis:
+                yield np.bitwise_and, out, spare, out
+        return
+    if form == "levels":
+        level, total, left = {}, 0, sum(weights)  # an absent level is zero
+        for x, w in zip(planes, weights):
+            total, left = total + w, left - w
+            # From the top down, so that level k - w is read before it changes.
+            for k in range(min(theta, total), max(0, theta - left - 1), -1):
+                into, old = out if k == theta else scratch[k], level.get(k)
+                if k > w:
+                    below = level.get(k - w)
+                    if below is None:
+                        continue
+                    if old is None:
+                        yield np.bitwise_and, below, x, into
+                    else:
+                        yield np.bitwise_and, below, x, spare
+                        yield np.bitwise_or, old, spare, into
+                elif old is None:
+                    into = x
+                else:
+                    yield np.bitwise_or, old, x, into
+                level[k] = into
+        result = level[theta]
+    else:
+        digit, total = {}, 0  # an absent digit is zero
+        for x, w in zip(planes, weights):
+            for b in range(w.bit_length()):
+                if not w >> b & 1:
+                    continue
+                total += 1 << b
+                carry, j = x, b
+                while j in digit:
+                    last = total < 2 << j  # the count fits in digits 0..j
+                    if not last:
+                        if j + 1 in digit:
+                            carried = spare if carry is out else out
+                        else:
+                            carried = scratch[2 + j]
+                        yield np.bitwise_and, digit[j], carry, carried
+                    yield np.bitwise_xor, digit[j], carry, scratch[1 + j]
+                    digit[j] = scratch[1 + j]
+                    if last:
+                        break
+                    carry, j = carried, j + 1
+                else:
+                    digit[j] = carry
+        low = (theta & -theta).bit_length() - 1
+        result = digit.get(low)
+        for j in range(low + 1, total.bit_length()):
+            d, need = digit.get(j), theta >> j & 1
+            if result is None or d is None:  # a zero operand
+                result = None if need else (d if result is None else result)
+                continue
+            yield (np.bitwise_and if need else np.bitwise_or), result, d, out
+            result = out
+    if result is not out:
+        yield np.bitwise_or, result, result, out
+
+
+def _step_form(kind: str, weights: tuple[int, ...], theta: int) -> tuple[str, int]:
+    """The form of :func:`_step_ops` for a rule of ``kind`` stepped with
+    planes of these ``weights``, and how many scratch buffers it takes.  A
+    threshold rule takes whichever of the counter and the levels makes
+    fewer calls, the counter on a tie; the levels win on short stencils
+    with a small ``theta``, the counter on long ones."""
+    if kind == "modified":
+        return "axes", 1
+    digits = sum(weights).bit_length()
+    stand_ins = [object() for _ in range(3 + max(digits, theta))]
+    plane, out, scratch = stand_ins[0], stand_ins[1], stand_ins[2:]
+    counter = sum(1 for _ in _step_ops("counter", repeat(plane), weights, theta, out, scratch))
+    levels = _step_ops("levels", repeat(plane), weights, theta, out, scratch)
+    if sum(1 for _ in islice(levels, counter)) < counter:
+        return "levels", theta
+    return "counter", 1 + digits
+
+
 def _shifted(rows: np.ndarray, k: int, start: int, width: int) -> np.ndarray:
     """Bit rows moved along x: bit ``x`` of the result is bit ``x + k`` of
     the rows whose ``width`` data words begin at column ``start`` of
@@ -389,13 +527,12 @@ def _shifted(rows: np.ndarray, k: int, start: int, width: int) -> np.ndarray:
 
 def _row_planes(board, sources, groups, lx, periodic, start, width):
     """The shifted planes of one step, one at a time: for each row group's
-    source rows (gathered once) and each of its x components ``dx``, bit x
-    of the plane is the cell at ``x + dx`` of the source row.  On periodic
-    grids ``dx`` rotates within ``lx`` bits, so offsets that wrap onto one
-    cell each give a plane."""
-    for src, dxs in zip(sources, groups):
+    source rows (gathered once) and the x component ``dx`` of each of its
+    offsets, bit x of the plane is the cell at ``x + dx`` of the source
+    row.  On periodic grids ``dx`` rotates within ``lx`` bits."""
+    for src, group in zip(sources, groups):
         rows = board[src]
-        for dx in dxs:
+        for dx, *_ in group:
             k = dx % lx if periodic else dx
             if periodic and k:
                 yield _shifted(rows, k, start, width) | _shifted(rows, k - lx, start, width)
@@ -406,7 +543,7 @@ def _row_planes(board, sources, groups, lx, periodic, start, width):
 def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     """Closure of one configuration, identical output to :func:`closure_naive`.
 
-    One counter, two packings: :func:`closure_lanes` packs configurations
+    One step, two packings: :func:`closure_lanes` packs configurations
     into the bits of a word, this packs the cells of a row.  Row ``(z, y)``
     is ``ceil(Lx / 64)`` uint64 words, cell x at bit ``x % 64`` of word
     ``x // 64``, with zero words on either side as far as the x offsets
@@ -414,9 +551,9 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     part, which a neighbour-row table resolves (out-of-range rows point at
     a zero row on open grids, and wrap on periodic ones); the x part is a
     shift with carries across words, or on periodic grids a rotation
-    within ``Lx`` bits made of two shifts.  A synchronous step feeds these
-    planes, made one at a time, to the same bit-sliced counter (or
-    per-axis OR/AND for the modified rule) as the lane kernel.
+    within ``Lx`` bits made of two shifts.  A synchronous step makes these
+    planes one at a time and runs the calls :func:`_step_ops` gives for
+    them as they come, the same calls as the lane kernel's.
 
     A row's step depends only on its source rows, so only rows with a
     source row that changed in the last step are gathered and stepped;
@@ -425,16 +562,19 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     _check_dimensions(config.grid, rule)
     grid = config.grid
     periodic = grid.periodic
-    offsets = _landing_offsets(rule, grid.dims, periodic)
-    if len(offsets) < rule.theta:
+    landing = _landing_offsets(rule, grid.dims, periodic)
+    if sum(landing.values()) < rule.theta:
         return Configuration(grid, config.cells.copy())
     lz, ly, lx = (1, 1, *grid.shape)[-3:]
     n_rows, width = lz * ly, -(-lx // 64)
 
-    groups: dict[tuple[int, int], list[int]] = {}  # (dy, dz) -> dx, in stencil order
-    for off in offsets:
+    groups: dict[tuple[int, int], list] = {}  # (dy, dz) -> offsets, in stencil order
+    for off in landing:
         dx, dy, dz = (*off, 0, 0)[:3]
-        groups.setdefault((dy, dz), []).append(dx)
+        groups.setdefault((dy, dz), []).append(off)
+    offsets = [off for group in groups.values() for off in group]  # in the planes' order
+    weights = tuple(landing[off] for off in offsets)
+    form, spares = _step_form(rule.kind, weights, rule.theta)
     z, y = np.divmod(np.arange(n_rows), ly)
     sources = []  # per group, the board row each row reads
     for dy, dz in groups:
@@ -459,26 +599,23 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
     board = octets.view(np.uint64)
     tail = np.uint64((1 << (lx - 64 * (width - 1))) - 1)  # live bits of the last word
 
-    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
-    scratch = np.empty((2 + digits, n_rows, width), dtype=np.uint64)
+    scratch = np.empty((1 + spares, n_rows, width), dtype=np.uint64)
     changed = np.ones(n_rows + 1, dtype=bool)
     changed[n_rows] = False
     while True:
         active = np.flatnonzero(changed[sources].any(axis=0))
         if not active.size:
             break
-        pred, spare, *counter = scratch[:, : active.size]
+        pred, *spare = scratch[:, : active.size]
         planes = _row_planes(
             board, sources[:, active], groups.values(), lx, periodic, start, width
         )
-        if rule.kind == "threshold":
-            _count_reaches_theta(planes, rule.theta, pred, spare, counter)
-        else:
-            _neighbour_on_every_axis(planes, pred, spare)
+        for ufunc, a, b, into in _step_ops(form, planes, weights, rule.theta, pred, spare):
+            ufunc(a, b, out=into)
         rows = board[active]
         occupied = rows[:, start : start + width]
-        np.bitwise_not(occupied, out=spare)
-        pred &= spare
+        np.bitwise_not(occupied, out=spare[0])
+        pred &= spare[0]
         pred[:, -1] &= tail
         occupied |= pred
         board[active] = rows
@@ -489,83 +626,43 @@ def closure_fast(config: Configuration, rule: Rule) -> Configuration:
 
 
 def pack_lanes(bits: np.ndarray) -> np.ndarray:
-    """Pack a stack of boolean grids, shape (n, *grid shape), into uint64
-    words of shape (ceil(n / 64), *grid shape): bit ``j`` of word ``w`` is
-    grid ``64 w + j``.  Lanes past ``n`` are zero."""
+    """Pack a stack of boolean grids, shape (n, *grid shape), into words of
+    shape (ceil(n / lanes), *grid shape): bit ``j`` of word ``w`` is grid
+    ``lanes * w + j``.  The words are the narrowest unsigned type with ``n``
+    lanes (uint8, uint16 or uint32) below 64 grids, and uint64, 64 lanes,
+    from 64 up.  Lanes past ``n`` are zero."""
     n, shape = bits.shape[0], bits.shape[1:]
-    words, cells = -(-n // 64), int(np.prod(shape))
-    packed = np.zeros((words * 8, cells), dtype=np.uint8)
+    word = np.min_scalar_type((1 << min(n, 64)) - 1)
+    width, cells = word.itemsize, int(np.prod(shape))  # width in bytes
+    words = -(-n // (8 * width))
+    packed = np.zeros((words * width, cells), dtype=np.uint8)
     packed[: -(-n // 8)] = np.packbits(bits.reshape(n, cells), axis=0, bitorder="little")
-    lanes = packed.reshape(words, 8, cells).transpose(0, 2, 1).copy().view(np.uint64)
+    lanes = packed.reshape(words, width, cells).transpose(0, 2, 1).copy().view(word)
     return lanes.reshape((words,) + shape)
 
 
 def unpack_lanes(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`pack_lanes`: the first ``n`` grids as booleans."""
     count, shape = words.shape[0], words.shape[1:]
-    cells = int(np.prod(shape))
+    cells, width = int(np.prod(shape)), words.dtype.itemsize
     octets = np.ascontiguousarray(words).reshape(count, cells, 1).view(np.uint8)
-    octets = octets.transpose(0, 2, 1).reshape(count * 8, cells)
+    octets = octets.transpose(0, 2, 1).reshape(count * width, cells)
     bits = np.unpackbits(octets, axis=0, count=n, bitorder="little")
     return bits.view(bool).reshape((n,) + shape)
 
 
-def _count_reaches_theta(planes, theta, out, spare, digits) -> None:
-    """out = cells where at least ``theta`` of ``planes`` are set.
-
-    ``planes`` is an iterable read once, in order, so a caller may make
-    each plane only when it is needed.  A vertical counter: ``digits[j]``
-    holds bit ``j`` of the count at every bit position.  Adding plane
-    ``i`` ripples a carry through the digits that a count of at most
-    ``i + 1`` can reach.  The comparison with ``theta`` runs from its
-    lowest set bit upward: ``count >= theta`` on bits ``0..j`` is
-    ``d_j & ge`` where bit ``j`` of theta is 1 and ``d_j | ge`` where it
-    is 0.
-    """
-    planes = iter(planes)
-    first, second = next(planes), next(planes, None)
-    if second is None:
-        np.copyto(digits[0], first)
-    else:
-        np.bitwise_and(first, second, out=digits[1])
-        np.bitwise_xor(first, second, out=digits[0])
-    for i, carry in enumerate(planes, 2):
-        top = (i + 1).bit_length() - 1
-        fresh = i + 1 == 1 << top  # digit `top` is first reached by this plane
-        for j in range(top):
-            into = digits[top] if fresh and j == top - 1 else (spare if carry is out else out)
-            np.bitwise_and(digits[j], carry, out=into)
-            digits[j] ^= carry
-            carry = into
-        if not fresh:
-            digits[top] ^= carry
-    low = (theta & -theta).bit_length() - 1
-    ge = digits[low]
-    for j in range(low + 1, len(digits)):
-        (np.bitwise_and if theta >> j & 1 else np.bitwise_or)(ge, digits[j], out=out)
-        ge = out
-    if ge is not out:
-        np.copyto(out, ge)
-
-
-def _neighbour_on_every_axis(planes, out, spare) -> None:
-    """out = cells with an occupied unit neighbour on every axis; ``planes``
-    iterates over the (+1, -1) neighbour planes of each axis in turn."""
-    planes = iter(planes)
-    np.bitwise_or(next(planes), next(planes), out=out)
-    for plus in planes:
-        np.bitwise_or(plus, next(planes), out=spare)
-        out &= spare
-
-
 def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.ndarray:
-    """Closure of up to 64 configurations per machine word.
+    """Closure of as many configurations as a machine word has bits.
 
-    ``words`` is a uint64 array of the grid's shape, optionally with
-    leading batch axes.  Bit ``j`` of every word belongs to configuration
-    ``j``: for each lane ``j`` and batch position, the bit-plane of the
-    result equals ``closure_naive`` of the same bit-plane of ``words``.
-    The input is not modified.
+    ``words`` is an array of unsigned integers (uint8 to uint64) of the
+    grid's shape, optionally with leading batch axes.  Bit ``j`` of every
+    word belongs to configuration ``j``: for each lane ``j`` and batch
+    position, the bit-plane of the result equals ``closure_naive`` of the
+    same bit-plane of ``words``.  The result has the dtype of ``words``,
+    which is not modified.  A step costs a call per word array whatever
+    its width, and a narrower word moves fewer bytes, so a block of fewer
+    than 64 configurations closes fastest in the narrowest word that holds
+    it (see :func:`pack_lanes`).
 
     Each batch position is an entry, one word per cell, closed as a grid
     of its own.  The entries lie one after another in a flat array, each
@@ -575,9 +672,10 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     entry), where it also serves as the halo before the next one; flat
     margins catch offsets past either end.  On a periodic grid the halo is
     the wrapped grid on both sides, copied from the interior before each
-    step, so offsets that wrap onto one cell are each counted.  A step is
-    a fixed number of whole-array bit operations per offset (multispin
-    coding).
+    step.  Between gathers (below) every shifted plane is a fixed slice of
+    the flat array, so the step's whole-array bit operations (multispin
+    coding), the calls :func:`_step_ops` gives for those planes, are built
+    once per gather and a step only runs them.
 
     An entry whose step occupies nothing new has settled: it is its own
     closure.  Once at least half of the entries still being stepped have
@@ -589,17 +687,19 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     occupies nothing new.
     """
     d = rule.dimension
-    if words.dtype != np.uint64 or words.ndim < d:
+    if words.dtype.kind != "u" or words.ndim < d:
         raise ValueError(
-            f"closure_lanes needs a uint64 array with at least {d} axes, "
+            f"closure_lanes needs an unsigned integer array with at least {d} axes, "
             f"got {words.dtype} with shape {words.shape}"
         )
     if words.size == 0:
         return words.copy()
     shape = words.shape[words.ndim - d :]
-    offsets = _landing_offsets(rule, shape[::-1], periodic)
-    if len(offsets) < rule.theta:
+    landing = _landing_offsets(rule, shape[::-1], periodic)
+    if sum(landing.values()) < rule.theta:
         return words.copy()
+    offsets, weights = list(landing), tuple(landing.values())
+    form, spares = _step_form(rule.kind, weights, rule.theta)
     entries = words.reshape((-1,) + shape)
     # grid axis k is offset component d - 1 - k
     reach = [max(abs(off[d - 1 - k]) for off in offsets) for k in range(d)]
@@ -612,9 +712,8 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     inner = tuple(slice(b, b + n) for b, n in zip(before, shape))
 
     live = np.arange(len(entries))  # result index of each entry still stepped
-    digits = len(offsets).bit_length() if rule.kind == "threshold" else 0
-    scratch = np.empty((2 + digits, live.size * size), dtype=np.uint64)
-    flat = np.zeros(live.size * size + 2 * margin, dtype=np.uint64)
+    scratch = np.empty((1 + spares, live.size * size), dtype=words.dtype)
+    flat = np.zeros(live.size * size + 2 * margin, dtype=words.dtype)
     padded = flat[margin : margin + live.size * size].reshape((-1,) + padded_shape)
     padded[(...,) + inner] = entries
     free = np.zeros_like(padded)  # empty interior cells
@@ -626,23 +725,22 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
         source = np.pad(own[inner], list(zip(before, reach)), mode="wrap").reshape(-1)
         halo = np.flatnonzero(source != own.reshape(-1))
         source = source[halo]
-    result = np.empty(entries.shape, dtype=np.uint64)
-    grown = np.empty(live.size, dtype=np.uint64)  # OR of each entry's step
+    result = np.empty(entries.shape, dtype=words.dtype)
+    grown = np.empty(live.size, dtype=words.dtype)  # OR of each entry's step
     while True:
         count = live.size
         core = flat[margin : margin + count * size]
         grids = core.reshape(count, size)
         planes = [flat[margin + sh : margin + count * size + sh] for sh in shifts]
-        pred, spare, *counter = scratch[:, : count * size]
+        pred, *spare = scratch[:, : count * size]
+        ops = list(_step_ops(form, planes, weights, rule.theta, pred, spare))
         open_cells = free[:count].reshape(-1)
         rows, grew = pred.reshape(count, size), grown[:count]
         while True:
             if periodic:
                 grids[:, halo] = grids[:, source]
-            if rule.kind == "threshold":
-                _count_reaches_theta(planes, rule.theta, pred, spare, counter)
-            else:
-                _neighbour_on_every_axis(planes, pred, spare)
+            for ufunc, a, b, into in ops:
+                ufunc(a, b, out=into)
             pred &= open_cells
             np.bitwise_or.reduce(rows, axis=1, out=grew)
             core |= pred
@@ -666,7 +764,9 @@ def closure_batch(occ: np.ndarray, rule: Rule, periodic: bool = False) -> np.nda
 
     ``occ`` has shape (m, *grid shape) and is not modified.  Slice ``i`` of
     the result equals ``closure_naive`` of slice ``i``.  The slices are
-    packed 64 to a word and closed together by :func:`closure_lanes`.
+    packed by :func:`pack_lanes`, 64 to a uint64 word, or fewer than 64
+    into one word of the narrowest unsigned type that holds them, and
+    closed together by :func:`closure_lanes`.
     """
     occ = np.asarray(occ, dtype=bool)
     return unpack_lanes(closure_lanes(pack_lanes(occ), rule, periodic), len(occ))

@@ -27,7 +27,14 @@ from bootgrid import (
     step,
 )
 from bootgrid.montecarlo import _STREAM_DOMAIN
-from bootgrid.rules import _FAMILIES, pack_lanes, unpack_lanes
+from bootgrid.rules import (
+    _FAMILIES,
+    _landing_offsets,
+    _step_form,
+    _step_ops,
+    pack_lanes,
+    unpack_lanes,
+)
 from reference import ref_closure, ref_family_name, ref_make_rule, ref_step
 
 ALL_FAMILIES = [
@@ -396,10 +403,152 @@ class TestClosureLanes:
 
     def test_rejects_other_dtypes_and_shapes(self):
         rule = make_rule(RuleFamily.standard(2))
-        with pytest.raises(ValueError):
-            closure_lanes(np.zeros((4, 4), dtype=np.int64), rule)
+        for dtype in (np.int64, np.int32, np.float64, bool):
+            with pytest.raises(ValueError):
+                closure_lanes(np.zeros((4, 4), dtype=dtype), rule)
         with pytest.raises(ValueError):
             closure_lanes(np.zeros(4, dtype=np.uint64), rule)
+
+
+WORDS = [np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def run_ops(form, planes, weights, theta):
+    """Runs the calls of _step_ops on a stack of planes; returns out."""
+    out = np.empty_like(planes[0])
+    scratch = np.empty((1 + max(sum(weights).bit_length(), theta),) + out.shape, out.dtype)
+    for ufunc, a, b, into in _step_ops(form, iter(planes), weights, theta, out, scratch):
+        ufunc(a, b, out=into)
+    return out
+
+
+def count_calls(form, weights, theta):
+    """How many calls _step_ops makes, with stand-ins for the arrays."""
+    planes = [object() for _ in weights]
+    scratch = [object() for _ in range(1 + max(sum(weights).bit_length(), theta))]
+    return sum(1 for _ in _step_ops(form, planes, weights, theta, object(), scratch))
+
+
+def weight_sets(n):
+    """Unit weights, and weights cycling through 1, 2, 3 from each start."""
+    return [(1,) * n] + [tuple(1 + (i + s) % 3 for i in range(n)) for s in range(3)]
+
+
+class TestStepOps:
+    """The calls of one step against a popcount oracle: the weighted count
+    of the set planes at every bit position, compared with theta."""
+
+    @staticmethod
+    def planes(n, dtype, key):
+        """n planes of 8 words, at densities from 0 to 1 across the planes,
+        with words that are all zeros and all ones among them."""
+        size = np.dtype(dtype).itemsize
+        u = Stream((key,)).uniforms(n * 8 * 8 * size).reshape(n, 8 * 8 * size)
+        bits = u < np.linspace(0.0, 1.0, n)[:, None] if n > 1 else u < 0.5
+        bits[:, : 8 * size], bits[:, 8 * size : 16 * size] = False, True  # words 0 and 1
+        return np.packbits(bits, axis=1, bitorder="little").view(dtype), bits
+
+    @pytest.mark.parametrize("dtype", WORDS, ids=lambda t: t.__name__)
+    def test_both_forms_match_the_popcount_oracle(self, dtype):
+        for n in range(1, 21):
+            planes, bits = self.planes(n, dtype, n)
+            for weights in weight_sets(n):
+                counts = np.asarray(weights) @ bits
+                for theta in range(1, sum(weights) + 1):
+                    want = np.packbits(counts >= theta, bitorder="little").view(dtype)
+                    for form in ("counter", "levels"):
+                        got = run_ops(form, planes, weights, theta)
+                        assert np.array_equal(got, want), (n, weights, theta, form)
+
+    @pytest.mark.parametrize("dtype", WORDS, ids=lambda t: t.__name__)
+    def test_weights_and_counts_past_a_byte(self, dtype):
+        weights = (300, 1, 2, 255, 7, 128)
+        planes, bits = self.planes(len(weights), dtype, 99)
+        counts = np.asarray(weights) @ bits
+        for theta in (1, 2, 3, 7, 128, 255, 256, 300, 301, 383, 555, 556, 692, 693):
+            want = np.packbits(counts >= theta, bitorder="little").view(dtype)
+            for form in ("counter", "levels"):
+                assert np.array_equal(run_ops(form, planes, weights, theta), want), (theta, form)
+
+    def test_the_chosen_form_never_makes_more_calls_than_the_counter(self):
+        for n in range(1, 21):
+            for weights in weight_sets(n):
+                for theta in range(1, sum(weights) + 1):
+                    form, _ = _step_form("threshold", weights, theta)
+                    chosen = count_calls(form, weights, theta)
+                    assert chosen <= count_calls("counter", weights, theta)
+
+    @pytest.mark.parametrize(
+        "name,form,calls",
+        [("standard1", "levels", 1), ("standard2", "levels", 7), ("1b:1", "levels", 7),
+         ("duarte", "levels", 4), ("12", "levels", 17), ("standard3", "levels", 17),
+         ("abc:1,1,1", "levels", 17), ("1b:3", "counter", 31), ("1b:4", "counter", 47),
+         ("1b:130", "counter", 3449)],
+    )
+    def test_calls_a_step_of_each_stencil(self, name, form, calls):
+        """The calls of one step where every offset of the stencil lands."""
+        rule = make_rule(RuleFamily.parse(name))
+        weights = (1,) * len(rule.offsets)
+        assert _step_form(rule.kind, weights, rule.theta)[0] == form
+        assert count_calls(form, weights, rule.theta) == calls
+
+
+def word_type(m):
+    """The word closure_batch packs m configurations into."""
+    return next(t for t in WORDS if m <= 8 * np.dtype(t).itemsize or t is np.uint64)
+
+
+class TestClosureBatchWordWidths:
+    """closure_batch packs a block of m < 64 configurations into the
+    narrowest word with m lanes, and 64 or more into uint64 words."""
+
+    SIZES = [1, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65]
+
+    @staticmethod
+    def check(rule, grid, key):
+        root = Stream((zlib.crc32(key.encode()),))
+        occ = np.stack([
+            random_configuration(grid, 0.1 + 0.85 * (i % 13) / 12, root.child(i)).cells
+            for i in range(max(TestClosureBatchWordWidths.SIZES))
+        ])
+        naive = {}
+        want = np.stack([
+            naive.setdefault(o.tobytes(), closure_naive(Configuration(grid, o), rule).cells)
+            for o in occ
+        ])
+        for m in TestClosureBatchWordWidths.SIZES:
+            assert pack_lanes(occ[:m]).dtype == word_type(m)
+            got = closure_batch(occ[:m], rule, periodic=grid.periodic)
+            assert np.array_equal(got, want[:m]), m
+
+    @pytest.mark.parametrize(
+        "name,dims",
+        [("standard2", (6, 5)), ("12", (6, 5)), ("duarte", (5, 6)), ("1b:3", (7, 4)),
+         ("modified2", (5, 4)), ("standard3", (3, 2, 4)), ("modified3", (3, 2, 4))],
+    )
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_every_width_matches_naive(self, name, dims, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        self.check(rule, GridSpec(dims, boundary), f"widths/{name}/{dims}/{boundary}")
+
+    @pytest.mark.parametrize(
+        "name,dims,planes",
+        [("1b:301", (2, 3), 3),  # (1, 0) stands for 302 offsets, theta 302
+         ("1b:200", (3, 4), 4)],  # (1, 0) and (-1, 0) stand for 267 each, theta 201
+    )
+    def test_periodic_weights_reach_theta_and_pass_a_byte(self, name, dims, planes):
+        rule = make_rule(RuleFamily.parse(name))
+        weights = _landing_offsets(rule, dims, True)
+        assert sum(weights.values()) > 255 and len(weights) == planes
+        if name == "1b:301":
+            assert max(weights.values()) >= rule.theta
+        self.check(rule, GridSpec(dims, "periodic"), f"widths/{name}/{dims}")
+
+    def test_equal_wrapped_offsets_are_one_plane(self):
+        rule = make_rule(RuleFamily.one_b(20000))
+        weights = _landing_offsets(rule, (8, 8), True)
+        assert len(weights) == 9  # x offsets -3..4 but 0, and (0, +-1)
+        assert sum(weights.values()) == len(rule.offsets) - 2 * (20000 // 8)
 
 
 def chain_grid(rule, boundary, length=40):
