@@ -27,8 +27,11 @@ and checks them against the rule before any estimate runs, and one
 builder makes a row per (grid, seed) and p.
 ``fill`` and ``pc`` take one grid at ``--seed``; ``sweep`` takes grid
 ``i`` at ``derive_seed(seed, i)``, so its rows for that grid are the
-``fill`` rows at that seed.  A library user makes such a table by
-looping :func:`~bootgrid.montecarlo.fill_probability`.
+``fill`` rows at that seed.  ``fill``, ``sweep`` and ``growth`` pass the
+whole ``--p`` list to one estimate per grid, which draws each trial once
+for every p; a row is the same bytes as that of a run with its p alone.
+A library user makes a sweep table by calling
+:func:`~bootgrid.montecarlo.fill_probability` once per grid.
 """
 
 from __future__ import annotations
@@ -203,11 +206,11 @@ def _cprime(args) -> float:
 
 def _estimate_table(family: RuleFamily, runs, p_list: list[float], estimate):
     """Columns and rows of fill, pc and sweep: for each (grid, seed) of
-    ``runs`` and each p of ``p_list``, the row of ``estimate(grid, p, seed)``."""
+    ``runs``, one row for each p of ``p_list`` and estimate of
+    ``estimate(grid, p_list, seed)``, which gives one per p."""
     rows = []
     for grid, seed in runs:
-        for p in p_list:
-            est = estimate(grid, p, seed)
+        for p, est in zip(p_list, estimate(grid, p_list, seed)):
             rows.append(
                 (family.name, _dims_str(grid.dims), p, est.mean, est.stderr, est.trials, est.seed)
             )
@@ -229,7 +232,7 @@ def _fill_table(args, family: RuleFamily, rule: Rule, runs, dims):
         family,
         runs,
         p_list,
-        lambda grid, p, seed: fill_probability(rule, grid, p, args.trials, seed, args.threads),
+        lambda grid, ps, seed: fill_probability(rule, grid, ps, args.trials, seed, args.threads),
     )
 
 
@@ -264,15 +267,17 @@ def _cmd_pc(args):
         family,
         [(grid, args.seed)],
         [args.target],
-        lambda grid, target, seed: estimate_pc(
-            rule,
-            grid,
-            target=target,
-            p_tolerance=args.tol,
-            trials_per_probe=args.trials,
-            seed=seed,
-            threads=args.threads,
-        ),
+        lambda grid, _, seed: [
+            estimate_pc(
+                rule,
+                grid,
+                target=args.target,
+                p_tolerance=args.tol,
+                trials_per_probe=args.trials,
+                seed=seed,
+                threads=args.threads,
+            )
+        ],
     )
 
 
@@ -286,12 +291,11 @@ def _cmd_growth(args):
     spec = GrowthEventSpec(args.event, args.size)
     p_list = _mc_p_list(args.p, args.trials)  # before the exact count
     poly = growth_polynomial(spec)
-    rows = []
-    for p in p_list:
-        est = estimate_growth_mc(spec, p, args.trials, args.seed, args.threads)
-        rows.append(
-            (spec.direction, spec.size, p, poly.evaluate(p), est.mean, est.stderr, est.trials)
-        )
+    estimates = estimate_growth_mc(spec, p_list, args.trials, args.seed, args.threads)
+    rows = [
+        (spec.direction, spec.size, p, poly.evaluate(p), est.mean, est.stderr, est.trials)
+        for p, est in zip(p_list, estimates)
+    ]
     params = {"event": spec.direction, "size": spec.size, "p": args.p, "trials": args.trials}
     return params, ["event", "param", "p", "exact", "mc_mean", "mc_stderr", "trials"], rows
 

@@ -54,8 +54,9 @@ configurations themselves, and against full-grid closures by
 ``closure_naive``.
 
 Monte Carlo draws its trials with the sampler that fill estimates use
-(:func:`bootgrid.montecarlo.sample_estimate`) and closes each block of
-trials of the same grid with ``rules.closure_batch``.
+(:func:`bootgrid.montecarlo.sample_estimate`), once for every p of a run,
+and closes each block of trials of the same grid with
+``rules.closure_batch``.
 """
 
 from __future__ import annotations
@@ -345,15 +346,17 @@ def row_growth_polynomial(x: int) -> GrowthPolynomial:
 
 
 def estimate_growth_mc(
-    spec: GrowthEventSpec, p: float, trials: int, seed: int, threads: int = 1
-) -> Estimate:
-    """Monte Carlo estimate of the same event as the exact polynomial.
+    spec: GrowthEventSpec, ps: Sequence[float], trials: int, seed: int, threads: int = 1
+) -> list[Estimate]:
+    """Monte Carlo estimates of the same event as the exact polynomial, one
+    for each p of ``ps`` in its order, every p from the same draws.
 
     Helper cell ``c`` of trial ``i`` uses uniform ``c`` of substream
     ``(seed, domain, i)``, so results do not depend on how trials are
-    blocked or on ``threads``.  :func:`bootgrid.montecarlo.sample_estimate`
-    draws the helpers of each block of trials; the rectangle cells are
-    filled in around them and the stack is closed by ``closure_batch``.
+    blocked, on ``threads`` or on the other p values.
+    :func:`bootgrid.montecarlo.sample_estimate` draws the helpers of each
+    block of trials once; at each p the rectangle cells are filled in
+    around them and the stack is closed by ``closure_batch``.
     """
     grid, helpers, targets = spec.layout()
 
@@ -364,7 +367,7 @@ def estimate_growth_mc(
         closed = closure_batch(occ.reshape((m,) + grid.shape), _ONE_TWO)
         return int(closed.reshape(m, -1)[:, targets].all(axis=1).sum())
 
-    return sample_estimate(realised, len(helpers), p, trials, seed, _STREAM_DOMAIN, threads)
+    return sample_estimate(realised, len(helpers), ps, trials, seed, _STREAM_DOMAIN, threads)
 
 
 def horizontal_step_probability(p: float, n: float) -> float:

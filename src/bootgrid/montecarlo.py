@@ -13,7 +13,14 @@ consequences used throughout the tests:
 
 One sampling loop, :func:`sample_estimate`, draws and counts the trials
 of fill estimates and of the growth events' Monte Carlo; each caller
-gives it only the test of whether a block of drawn trials succeeds.
+gives it only the test of whether a block of drawn trials succeeds.  It
+takes a list of p values and draws each block of trials once for all of
+them (the per-trial uniforms do not depend on p; Newman & Ziff, PRL 85,
+4104 (2000) use the same idea).  A block keeps one small integer per
+cell, the number of distinct p values at or below its uniform, so its
+memory does not grow with the number of p values, and the block's
+occupancy at each p is read off that count.  Each estimate is the one a
+run with that p alone gives, bit for bit.
 
 The threshold p_c(L) is located by bisection on p of the coupled fill
 curve, which is a nondecreasing step function once the seed is fixed.
@@ -21,7 +28,7 @@ curve, which is a nondecreasing step function once the seed is fixed.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,8 +53,11 @@ EXACT_MAX_CELLS = 20
 # (closure_fast) one trial at a time.
 _BATCH_CELL_LIMIT = 4096
 
-# Uniforms a draw makes, at most or about (see draw_occupancy).
-_DRAW_SIZE = 1 << 16
+# Uniforms a draw makes, at most or about (see draw_occupancy).  A draw's
+# temporaries take 16 bytes a uniform, and a draw of 2^15 uniforms costs no
+# more a uniform than one of 2^16, so the smaller draw lowers peak memory
+# at no cost in time.
+_DRAW_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -80,71 +90,95 @@ def _chunk_size(cells: int, trials: int, threads: int) -> int:
     return 64 * min(units, -(-trials // (64 * max(threads, 1))))
 
 
-def draw_occupancy(root: Stream, start: int, m: int, cells: int, p: float) -> np.ndarray:
-    """Occupancy of trials [start, start+m): ``occ[i, c]`` is uniform ``c``
-    of substream ``start + i`` of ``root`` below p.
+def draw_occupancy(
+    root: Stream, start: int, m: int, cells: int, ps: Sequence[float]
+) -> np.ndarray:
+    """Occupancy of trials [start, start+m) at each of the sorted distinct
+    p values ``ps``, as one count per cell: ``count[i, c]`` is how many of
+    ``ps`` lie at or below uniform ``c`` of substream ``start + i`` of
+    ``root``, so the cell is occupied at ``ps[r]`` (its uniform is below
+    ``ps[r]``) exactly when ``count[i, c] <= r``.  The counts are of the
+    narrowest unsigned type that holds ``len(ps)``.
 
-    Uniforms are drawn about 2^16 at a time, whole trials of a small grid
-    or pieces of one trial of a larger one, and thresholded into one
-    boolean stack, so no draw holds a large float array."""
-    occ = np.empty((m, cells), dtype=bool)
+    Uniforms are drawn about 2^15 at a time, whole trials of a small grid
+    or pieces of one trial of a larger one, and each piece is compared
+    with every p and freed before the next draw, so no draw holds a large
+    float array."""
+    count = np.zeros((m, cells), dtype=np.min_scalar_type(len(ps)))
     per_draw, piece = max(1, _DRAW_SIZE // cells), min(cells, _DRAW_SIZE)
     for s in range(0, m, per_draw):
         k = min(per_draw, m - s)
         for c in range(0, cells, piece):
             n = min(piece, cells - c)
-            np.less(root.uniform_block(start + s, k, n, c), p, out=occ[s : s + k, c : c + n])
-    return occ
+            u = root.uniform_block(start + s, k, n, c)
+            out = count[s : s + k, c : c + n]
+            for p in ps:
+                out += u >= p
+            del u
+    return count
 
 
 def sample_estimate(
     count_successes: Callable[[np.ndarray], int],
     cells: int,
-    p: float,
+    ps: Sequence[float],
     trials: int,
     seed: int,
     domain: int,
     threads: int = 1,
-) -> Estimate:
-    """Fraction of ``trials`` p-random trials of ``cells`` cells that succeed.
+) -> list[Estimate]:
+    """Fraction of ``trials`` p-random trials of ``cells`` cells that
+    succeed, for each p of ``ps``, in the order of ``ps``.
 
     Trial ``i`` is cell ``c`` occupied when uniform ``c`` of substream
-    ``(seed, domain, i)`` is below p.  Trials are drawn in blocks by
-    :func:`draw_occupancy`, and ``count_successes`` gets each block's
-    ``(m, cells)`` boolean stack and returns how many of its m trials
-    succeed.  Blocks are sized by :func:`_chunk_size` and, with
+    ``(seed, domain, i)`` is below p, so one draw serves every p.  Trials
+    are drawn in blocks by :func:`draw_occupancy`, once a block whatever
+    the number of p values, and ``count_successes`` gets each block's
+    ``(m, cells)`` boolean stack at each distinct p and returns how many of
+    its m trials succeed.  Blocks are sized by :func:`_chunk_size` and, with
     ``threads > 1``, counted on a thread pool; neither changes a number.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    ps = list(ps)
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not ps:
+        raise ValueError("ps must hold at least one p")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    distinct = sorted(set(ps))
     root = Stream((seed, domain))
     chunk = _chunk_size(cells, trials, threads)
 
-    def block(start: int) -> int:
-        return count_successes(draw_occupancy(root, start, min(chunk, trials - start), cells, p))
+    def block(start: int) -> list[int]:
+        count = draw_occupancy(root, start, min(chunk, trials - start), cells, distinct)
+        return [count_successes(count <= r) for r in range(len(distinct))]
 
     starts = range(0, trials, chunk)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            successes = sum(pool.map(block, starts))
+            per_block = list(pool.map(block, starts))
     else:
-        successes = sum(map(block, starts))
-    mean = successes / trials
-    stderr = (mean * (1.0 - mean) / trials) ** 0.5
-    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+        per_block = list(map(block, starts))
+    successes = dict(zip(distinct, map(sum, zip(*per_block))))
+    estimates = []
+    for p in ps:
+        mean = successes[p] / trials
+        stderr = (mean * (1.0 - mean) / trials) ** 0.5
+        estimates.append(Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed))
+    return estimates
 
 
 def fill_probability(
     rule: Rule,
     grid: GridSpec,
-    p: float,
+    ps: Sequence[float],
     trials: int,
     seed: int,
     threads: int = 1,
-) -> Estimate:
-    """Fraction of trials whose closure is the full grid.
+) -> list[Estimate]:
+    """Fraction of trials whose closure is the full grid, for each p of
+    ``ps`` in its order, every p from the same draws.
 
     Only the lane-kernel path uses ``threads``: the per-trial path's
     ``closure_fast`` holds the GIL through many small steps, so a second
@@ -161,7 +195,7 @@ def fill_probability(
         return sum(closure_fast(Configuration(grid, trial), rule).is_full() for trial in occ)
 
     return sample_estimate(
-        filled, grid.cells, p, trials, seed, _STREAM_DOMAIN, threads if batch else 1
+        filled, grid.cells, ps, trials, seed, _STREAM_DOMAIN, threads if batch else 1
     )
 
 
@@ -326,7 +360,7 @@ def estimate_pc(
     total_trials = 0
     while hi - lo > p_tolerance:
         mid = 0.5 * (lo + hi)
-        est = fill_probability(rule, grid, mid, trials_per_probe, seed, threads)
+        (est,) = fill_probability(rule, grid, [mid], trials_per_probe, seed, threads)
         total_trials += est.trials
         if est.mean >= target:
             hi = mid

@@ -29,8 +29,10 @@ bit-parallel kernel in two packings, and by a naive oracle:
   threshold rule takes whichever of two forms makes fewer calls for its
   plane weights and ``theta``: a bit-sliced counter compared with
   ``theta`` in bit logic, or "at least k" accumulators; the modified rule
-  takes the per-axis OR/AND.  The words are unsigned integers whose bits
-  are cells or configurations:
+  takes the per-axis OR/AND.  The choice (``_step_form``) is made once
+  for a rule's plane weights and kept, so repeated closures of one rule
+  and grid do not make it again.  The words are unsigned integers whose
+  bits are cells or configurations:
 
   - ``closure_fast`` packs the cells of a row, 64 to a uint64 word
     (bitboards), for one large configuration.  x offsets are word shifts,
@@ -45,8 +47,10 @@ bit-parallel kernel in two packings, and by a naive oracle:
     stopped changing, they are set aside and the rest are gathered into a
     smaller array (and the calls built again for it), so a batch is not
     stepped whole until its slowest grid settles.  ``closure_batch`` packs
-    a stack of boolean grids into lanes and unpacks the result, for the
-    Monte Carlo trial blocks of fill estimates and of the growth events:
+    a stack of boolean grids into lanes (one transposed copy that puts the
+    lanes of a cell side by side, then one ``packbits`` along them) and
+    unpacks the result, for the Monte Carlo trial blocks of fill estimates
+    and of the growth events:
     64 to a uint64 word, or a block of fewer than 64 into one word of the
     narrowest unsigned type that holds it (uint8, uint16 or uint32), since
     a step costs the same number of calls at any width and a narrow word
@@ -71,7 +75,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import lru_cache
+from itertools import groupby, islice, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -498,9 +503,25 @@ def _step_form(kind: str, weights: tuple[int, ...], theta: int) -> tuple[str, in
     planes of these ``weights``, and how many scratch buffers it takes.  A
     threshold rule takes whichever of the counter and the levels makes
     fewer calls, the counter on a tie; the levels win on short stencils
-    with a small ``theta``, the counter on long ones."""
+    with a small ``theta``, the counter on long ones.
+
+    The choice dry-runs both forms, which costs as much as building the
+    calls of a step (over a second for a stencil of 2^17 offsets), so it is
+    kept for the most recent arguments: every later closure of the same
+    rule and grid, in each Monte Carlo block, reuses it.  It is kept by the
+    runs of equal weights, so a long stencil of equal weights keeps a short
+    key, not a second copy of its weights."""
+    runs = tuple((w, sum(1 for _ in run)) for w, run in groupby(weights))
+    return _chosen_form(kind, runs, theta)
+
+
+@lru_cache(maxsize=64)
+def _chosen_form(kind: str, runs: tuple[tuple[int, int], ...], theta: int) -> tuple[str, int]:
+    """:func:`_step_form` for the weights that ``runs`` lists as (weight,
+    number of planes in a row) pairs."""
     if kind == "modified":
         return "axes", 1
+    weights = [w for w, n in runs for _ in range(n)]
     digits = sum(weights).bit_length()
     stand_ins = [object() for _ in range(3 + max(digits, theta))]
     plane, out, scratch = stand_ins[0], stand_ins[1], stand_ins[2:]
@@ -630,15 +651,23 @@ def pack_lanes(bits: np.ndarray) -> np.ndarray:
     shape (ceil(n / lanes), *grid shape): bit ``j`` of word ``w`` is grid
     ``lanes * w + j``.  The words are the narrowest unsigned type with ``n``
     lanes (uint8, uint16 or uint32) below 64 grids, and uint64, 64 lanes,
-    from 64 up.  Lanes past ``n`` are zero."""
+    from 64 up.  Lanes past ``n`` are zero.
+
+    The stack is copied once into a (words, cells, lanes) array, so the
+    lanes of a cell lie side by side, and packed along that axis, each
+    word's bytes in order (bytes are little-endian within a word)."""
     n, shape = bits.shape[0], bits.shape[1:]
     word = np.min_scalar_type((1 << min(n, 64)) - 1)
-    width, cells = word.itemsize, int(np.prod(shape))  # width in bytes
-    words = -(-n // (8 * width))
-    packed = np.zeros((words * width, cells), dtype=np.uint8)
-    packed[: -(-n // 8)] = np.packbits(bits.reshape(n, cells), axis=0, bitorder="little")
-    lanes = packed.reshape(words, width, cells).transpose(0, 2, 1).copy().view(word)
-    return lanes.reshape((words,) + shape)
+    lanes, cells = 8 * word.itemsize, int(np.prod(shape))
+    full, rest = divmod(n, lanes)
+    flat = bits.reshape(n, cells)
+    stack = np.zeros((full + (rest > 0), cells, lanes), dtype=bool)
+    by_lane = stack.transpose(0, 2, 1)
+    by_lane[:full] = flat[: full * lanes].reshape(full, lanes, cells)
+    if rest:
+        by_lane[full, :rest] = flat[full * lanes :]
+    packed = np.packbits(stack, axis=-1, bitorder="little").view(word)
+    return packed.reshape((len(stack),) + shape)
 
 
 def unpack_lanes(words: np.ndarray, n: int) -> np.ndarray:

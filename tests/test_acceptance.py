@@ -154,7 +154,7 @@ def test_criterion_04_exact_fill_oracle():
         grid = GridSpec(dims)
         for p in (0.2, 0.5, 0.8):
             exact = fill_probability_exact(std2, grid, p)
-            est = fill_probability(std2, grid, p, 100_000, seed=404)
+            (est,) = fill_probability(std2, grid, [p], 100_000, seed=404)
             sigma = max(est.stderr, (exact * (1 - exact) / est.trials) ** 0.5, 1e-12)
             worst_z = max(worst_z, abs(est.mean - exact) / sigma)
     report(
@@ -179,7 +179,7 @@ def test_criterion_06_row_growth():
     poly8 = polys[8]
     for p in (0.05, 0.1):
         exact = poly8.evaluate(p)
-        est = estimate_growth_mc(GrowthEventSpec("north_rows", 8), p, 100_000, seed=606)
+        (est,) = estimate_growth_mc(GrowthEventSpec("north_rows", 8), [p], 100_000, seed=606)
         sigma = max(est.stderr, (exact * (1 - exact) / est.trials) ** 0.5, 1e-12)
         worst_z = max(worst_z, abs(est.mean - exact) / sigma)
     xs = np.arange(6, 13, dtype=float)

@@ -93,7 +93,8 @@ class TestDeterminism:
 
     def test_growth_identical_data_lines_across_threads(self, monkeypatch, capsys):
         # 1000 trials are one block at --threads 1 and one block a thread
-        # above it; the rows must not depend on either.
+        # above it, each drawn once for both p values; the rows must not
+        # depend on either.
         import bootgrid.montecarlo as mc
 
         args = ["growth", "--event", "north_rows", "--size", "4", "--p", "0.1,0.3",
@@ -109,7 +110,7 @@ class TestDeterminism:
         for t in (1, 2, 3):
             draws.clear()
             code, out, _ = run_cli(capsys, *args, "--threads", str(t))
-            assert code == 0 and len(draws) == 2 * t
+            assert code == 0 and len(draws) == t
             outs[t] = data_lines(out)
         assert outs[1] == outs[2] == outs[3]
 
@@ -568,8 +569,8 @@ class TestSweep:
         (row,) = self.sweep_rows(capsys, "--L", "5", "--p", "0.33", "--trials", "900",
                                  "--seed", "42")
         row_seed = derive_seed(42, 0)
-        direct = fill_probability(make_rule(RuleFamily.standard(2)), GridSpec((5, 5)), 0.33,
-                                  900, row_seed)
+        (direct,) = fill_probability(make_rule(RuleFamily.standard(2)), GridSpec((5, 5)),
+                                     [0.33], 900, row_seed)
         assert float(row["mean"]) == direct.mean and int(row["seed"]) == row_seed
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

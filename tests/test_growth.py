@@ -305,40 +305,40 @@ class TestPolynomialShape:
 
 class TestGrowthMonteCarlo:
     def test_east_column_against_closed_form(self):
-        est = estimate_growth_mc(GrowthEventSpec("east_column", 4), 0.2, 100_000, seed=5)
+        (est,) = estimate_growth_mc(GrowthEventSpec("east_column", 4), [0.2], 100_000, seed=5)
         expect = 1.0 - 0.8**4
         assert abs(est.mean - expect) <= 3.0 * est.stderr
 
     def test_north_rows_against_enumeration(self):
         poly = row_growth_polynomial(6)
-        est = estimate_growth_mc(GrowthEventSpec("north_rows", 6), 0.1, 50_000, seed=6)
+        (est,) = estimate_growth_mc(GrowthEventSpec("north_rows", 6), [0.1], 50_000, seed=6)
         assert abs(est.mean - poly.evaluate(0.1)) <= 3.0 * est.stderr
 
     def test_p_zero(self):
-        est = estimate_growth_mc(GrowthEventSpec("north_rows", 4), 0.0, 500, seed=1)
+        (est,) = estimate_growth_mc(GrowthEventSpec("north_rows", 4), [0.0], 500, seed=1)
         assert est.mean == 0.0 and est.stderr == 0.0
 
     def test_p_one(self):
-        est = estimate_growth_mc(GrowthEventSpec("east_column", 4), 1.0, 500, seed=1)
+        (est,) = estimate_growth_mc(GrowthEventSpec("east_column", 4), [1.0], 500, seed=1)
         assert est.mean == 1.0
 
     def test_deterministic(self):
         spec = GrowthEventSpec("north_rows", 5)
-        a = estimate_growth_mc(spec, 0.15, 3000, seed=9)
-        b = estimate_growth_mc(spec, 0.15, 3000, seed=9)
+        a = estimate_growth_mc(spec, [0.15], 3000, seed=9)
+        b = estimate_growth_mc(spec, [0.15], 3000, seed=9)
         assert a == b
 
     def test_bad_p(self):
         with pytest.raises(ValueError):
-            estimate_growth_mc(GrowthEventSpec("east_column", 3), 1.2, 10, seed=0)
+            estimate_growth_mc(GrowthEventSpec("east_column", 3), [1.2], 10, seed=0)
 
     def test_draw_in_several_parts_matches_one_draw(self):
-        # 20 helpers: uniforms are drawn 3276 trials at a time, so 7000
-        # trials take three draws.  The column fills exactly when some
+        # 20 helpers: uniforms are drawn 1638 trials at a time, so 7000
+        # trials take five draws.  The column fills exactly when some
         # helper is occupied.
         from bootgrid.growth import _STREAM_DOMAIN
 
-        est = estimate_growth_mc(GrowthEventSpec("east_column", 20), 0.01, 7000, seed=3)
+        (est,) = estimate_growth_mc(GrowthEventSpec("east_column", 20), [0.01], 7000, seed=3)
         occupied = Stream((3, _STREAM_DOMAIN)).uniform_block(0, 7000, 20) < 0.01
         assert 0 < est.mean < 1
         assert est.mean == occupied.any(axis=1).sum() / 7000

@@ -55,29 +55,29 @@ class TestEstimateType:
 
 class TestFillProbability:
     def test_p_zero(self):
-        est = fill_probability(STD2, GridSpec((4, 4)), 0.0, 200, seed=1)
+        (est,) = fill_probability(STD2, GridSpec((4, 4)), [0.0], 200, seed=1)
         assert est.mean == 0.0
 
     def test_p_one(self):
-        est = fill_probability(STD2, GridSpec((4, 4)), 1.0, 200, seed=1)
+        (est,) = fill_probability(STD2, GridSpec((4, 4)), [1.0], 200, seed=1)
         assert est.mean == 1.0
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            fill_probability(STD2, GridSpec((4, 4)), 1.5, 10, seed=0)
+            fill_probability(STD2, GridSpec((4, 4)), [1.5], 10, seed=0)
         with pytest.raises(ValueError):
-            fill_probability(STD2, GridSpec((4, 4)), 0.5, 0, seed=0)
+            fill_probability(STD2, GridSpec((4, 4)), [0.5], 0, seed=0)
 
     def test_2x2_within_3_sigma_of_exact(self):
         grid = GridSpec((2, 2))
-        est = fill_probability(STD2, grid, 0.5, 100_000, seed=8)
+        (est,) = fill_probability(STD2, grid, [0.5], 100_000, seed=8)
         assert abs(est.mean - 7 / 16) <= 3.0 * est.stderr
 
     def test_thread_count_does_not_change_results(self):
         grid = GridSpec((8, 8))
-        a = fill_probability(STD2, grid, 0.25, 5000, seed=3, threads=1)
-        b = fill_probability(STD2, grid, 0.25, 5000, seed=3, threads=4)
-        c = fill_probability(STD2, grid, 0.25, 5000, seed=3, threads=8)
+        (a,) = fill_probability(STD2, grid, [0.25], 5000, seed=3, threads=1)
+        (b,) = fill_probability(STD2, grid, [0.25], 5000, seed=3, threads=4)
+        (c,) = fill_probability(STD2, grid, [0.25], 5000, seed=3, threads=8)
         assert a == b == c
 
     def test_batch_path_matches_per_trial_reconstruction(self):
@@ -88,7 +88,7 @@ class TestFillProbability:
 
         assert _BATCH_CELL_LIMIT >= 70  # guard: adjust test if tuning changes
         grid = GridSpec((7, 10))
-        est = fill_probability(STD2, grid, 0.35, 600, seed=4)
+        (est,) = fill_probability(STD2, grid, [0.35], 600, seed=4)
         root = Stream((4, _STREAM_DOMAIN))
         succ = 0
         for i in range(600):
@@ -97,14 +97,14 @@ class TestFillProbability:
         assert est.mean == succ / 600
 
     def test_block_drawn_in_several_parts(self):
-        # 1200 cells: uniforms are drawn 54 trials at a time, so the one
-        # block of 150 trials takes three draws; its third lane word is
+        # 1200 cells: uniforms are drawn 27 trials at a time, so the one
+        # block of 150 trials takes six draws; its third lane word is
         # partly idle.
         from bootgrid.montecarlo import _STREAM_DOMAIN
         from bootgrid.rules import closure_fast
 
         grid = GridSpec((40, 30))
-        est = fill_probability(STD2, grid, 0.07, 150, seed=6)
+        (est,) = fill_probability(STD2, grid, [0.07], 150, seed=6)
         root = Stream((6, _STREAM_DOMAIN))
         succ = sum(
             closure_fast(random_configuration(grid, 0.07, root.child(i)), STD2).is_full()
@@ -117,10 +117,10 @@ class TestFillProbability:
         import bootgrid.montecarlo as mc
 
         grid = GridSpec((7, 10))
-        whole = fill_probability(STD2, grid, 0.35, 1000, seed=4)
+        (whole,) = fill_probability(STD2, grid, [0.35], 1000, seed=4)
         monkeypatch.setattr(mc, "_chunk_size", lambda *args: 64)
-        assert fill_probability(STD2, grid, 0.35, 1000, seed=4) == whole
-        assert fill_probability(STD2, grid, 0.35, 1000, seed=4, threads=3) == whole
+        assert fill_probability(STD2, grid, [0.35], 1000, seed=4) == [whole]
+        assert fill_probability(STD2, grid, [0.35], 1000, seed=4, threads=3) == [whole]
 
     def test_threaded_runs_split_into_a_block_per_thread(self):
         from bootgrid.montecarlo import _chunk_size
@@ -140,7 +140,7 @@ class TestFillProbability:
 
         grid = GridSpec((70, 70))
         assert grid.cells > _BATCH_CELL_LIMIT
-        est = fill_probability(STD2, grid, 0.15, 40, seed=19)
+        (est,) = fill_probability(STD2, grid, [0.15], 40, seed=19)
         root = Stream((19, _STREAM_DOMAIN))
         succ = 0
         for i in range(40):
@@ -154,19 +154,19 @@ class TestFillProbability:
         import bootgrid.montecarlo as mc
 
         grid = GridSpec((70, 70))
-        one = fill_probability(STD2, grid, 0.15, 40, seed=19, threads=1)
+        (one,) = fill_probability(STD2, grid, [0.15], 40, seed=19, threads=1)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool started on the per-trial path")
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
         assert -(-40 // mc._chunk_size(grid.cells, 40, 2)) > 1
-        assert fill_probability(STD2, grid, 0.15, 40, seed=19, threads=2) == one
+        assert fill_probability(STD2, grid, [0.15], 40, seed=19, threads=2) == [one]
 
     def test_coupled_monotone_in_p(self):
         grid = GridSpec((6, 6))
-        a = fill_probability(STD2, grid, 0.30, 4000, seed=11)
-        b = fill_probability(STD2, grid, 0.35, 4000, seed=11)
+        (a,) = fill_probability(STD2, grid, [0.30], 4000, seed=11)
+        (b,) = fill_probability(STD2, grid, [0.35], 4000, seed=11)
         assert a.mean <= b.mean  # exact, by coupling
 
 
@@ -182,17 +182,18 @@ class TestSampleEstimate:
 
         root = Stream((5, 77))
         want = sum(bool((root.child(i).uniforms(3) < 0.6).all()) for i in range(500))
-        est = sample_estimate(self.all_occupied, 3, 0.6, 500, seed=5, domain=77)
-        assert est == Estimate(want / 500, (want / 500 * (1 - want / 500) / 500) ** 0.5, 500, 5)
+        est = sample_estimate(self.all_occupied, 3, [0.6], 500, seed=5, domain=77)
+        assert est == [Estimate(want / 500, (want / 500 * (1 - want / 500) / 500) ** 0.5, 500, 5)]
         monkeypatch.setattr(mc, "_chunk_size", lambda *args: 64)
-        assert sample_estimate(self.all_occupied, 3, 0.6, 500, seed=5, domain=77, threads=3) == est
+        threaded = sample_estimate(self.all_occupied, 3, [0.6], 500, seed=5, domain=77, threads=3)
+        assert threaded == est
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda p, t: sample_estimate(lambda occ: 0, 4, p, t, seed=0, domain=1),
-            lambda p, t: fill_probability(STD2, GridSpec((4, 4)), p, t, seed=0),
-            lambda p, t: estimate_growth_mc(GrowthEventSpec("north_rows", 3), p, t, seed=0),
+            lambda p, t: sample_estimate(lambda occ: 0, 4, [0.5, p], t, seed=0, domain=1),
+            lambda p, t: fill_probability(STD2, GridSpec((4, 4)), [0.5, p], t, seed=0),
+            lambda p, t: estimate_growth_mc(GrowthEventSpec("north_rows", 3), [0.5, p], t, seed=0),
         ],
         ids=["sampler", "fill", "growth"],
     )
@@ -213,9 +214,11 @@ class TestDrawOccupancy:
         assert np.array_equal(whole[1], root.child(5).uniforms(150))
 
     def test_large_trial_is_drawn_in_bounded_pieces(self, monkeypatch):
-        # A trial of more than 2^16 cells is drawn in pieces of at most 2^16
-        # uniforms, bit-identical to drawing each trial at once.
-        cells, root = (1 << 16) + 1000, Stream((2, 9))
+        # A trial of more than _DRAW_SIZE cells is drawn in pieces of at most
+        # _DRAW_SIZE uniforms, bit-identical to drawing each trial at once.
+        from bootgrid.montecarlo import _DRAW_SIZE
+
+        cells, root = 2 * _DRAW_SIZE + 1000, Stream((2, 9))
         want = root.uniform_block(3, 2, cells) < 0.3
         sizes = []
         draw = Stream.uniform_block
@@ -225,8 +228,81 @@ class TestDrawOccupancy:
             return draw(self, first_child, n_children, count, first)
 
         monkeypatch.setattr(Stream, "uniform_block", spy)
-        assert np.array_equal(draw_occupancy(root, 3, 2, cells, 0.3), want)
-        assert sizes == [1 << 16, 1000, 1 << 16, 1000]
+        assert np.array_equal(draw_occupancy(root, 3, 2, cells, [0.3]) == 0, want)
+        assert sizes == [_DRAW_SIZE, _DRAW_SIZE, 1000] * 2
+
+
+class TestEveryPOfOneDraw:
+    """A p list is drawn once a block for every p, and each of its estimates
+    is, bit for bit, the estimate of a run with that p alone."""
+
+    PS = [0.3, 0.05, 0.3, 0.0, 1.0, 0.12]  # unsorted, a duplicate, both ends
+    # 300 distinct values, more than a uint8 count holds, shuffled and
+    # with duplicates; most lie low, so a count that wrapped would
+    # occupy cells at p = 0.
+    MANY = [float(v) for v in np.random.default_rng(5).permutation(
+        np.concatenate((np.linspace(0.0, 0.3, 298), [0.6, 1.0], [0.1, 0.0, 1.0])))]
+
+    @staticmethod
+    def single(estimate, ps):
+        return [estimate([p])[0] for p in ps]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "grid, trials", [(GridSpec((6, 6)), 300), (GridSpec((72, 72)), 25)],
+        ids=["batch", "per_trial"],
+    )
+    def test_fill_equals_single_p_runs(self, grid, trials, threads):
+        def estimate(ps):
+            return fill_probability(STD2, grid, ps, trials, seed=21, threads=threads)
+
+        got = estimate(self.PS)
+        assert got == self.single(estimate, self.PS)
+        assert 0 < got[1].mean < 1 and got[3].mean == 0 and got[4].mean == 1
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_growth_equals_single_p_runs(self, threads):
+        spec = GrowthEventSpec("north_rows", 4)
+
+        def estimate(ps):
+            return estimate_growth_mc(spec, ps, 1000, seed=3, threads=threads)
+
+        assert estimate(self.PS) == self.single(estimate, self.PS)
+
+    def test_more_than_255_distinct_values(self):
+        assert len(set(self.MANY)) > 255
+        for estimate in (
+            lambda ps: fill_probability(STD2, GridSpec((3, 3)), ps, 200, seed=8),
+            lambda ps: estimate_growth_mc(GrowthEventSpec("east_column", 3), ps, 200, seed=8),
+        ):
+            assert estimate(self.MANY) == self.single(estimate, self.MANY)
+
+    def test_counts_hold_every_p(self):
+        root = Stream((4, 4))
+        for n in (1, 3, 255, 256, 300):
+            ps = np.linspace(0.0, 1.0, n)
+            count = draw_occupancy(root, 2, 5, 70, ps)
+            want = np.searchsorted(ps, root.uniform_block(2, 5, 70), side="right")
+            assert count.dtype == (np.uint8 if n <= 255 else np.uint16)
+            assert np.array_equal(count, want), n
+
+    def test_one_draw_a_block_for_every_p(self, monkeypatch):
+        import bootgrid.montecarlo as mc
+
+        draw, starts = mc.draw_occupancy, []
+
+        def counted(*a):
+            starts.append(a[1])
+            return draw(*a)
+
+        monkeypatch.setattr(mc, "draw_occupancy", counted)
+        monkeypatch.setattr(mc, "_chunk_size", lambda *args: 64)
+        fill_probability(STD2, GridSpec((4, 4)), self.PS, 200, seed=1)
+        assert starts == [0, 64, 128, 192]
+
+    def test_an_empty_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one p"):
+            fill_probability(STD2, GridSpec((4, 4)), [], 10, seed=0)
 
 
 class TestStreamKeys:
@@ -242,8 +318,8 @@ class TestStreamKeys:
             lambda: Stream(7).child(part).uniforms(4),
             lambda: derive_seed(part),
             lambda: derive_seed(7, part),
-            lambda: fill_probability(STD2, GridSpec((4, 4)), 0.5, 10, seed=part),
-            lambda: estimate_growth_mc(GrowthEventSpec("east_column", 3), 0.5, 10, seed=part),
+            lambda: fill_probability(STD2, GridSpec((4, 4)), [0.5], 10, seed=part),
+            lambda: estimate_growth_mc(GrowthEventSpec("east_column", 3), [0.5], 10, seed=part),
         ):
             with pytest.raises(ValueError, match=message):
                 draw()
@@ -252,7 +328,7 @@ class TestStreamKeys:
         top = (1 << 64) - 1
         assert not np.array_equal(Stream(0).uniforms(8), Stream(top).uniforms(8))
         assert derive_seed(top, 0) != derive_seed(0, 0) and 0 <= derive_seed(top, top) <= top
-        est = fill_probability(STD2, GridSpec((4, 4)), 0.5, 10, seed=top)
+        (est,) = fill_probability(STD2, GridSpec((4, 4)), [0.5], 10, seed=top)
         assert est.seed == top
 
 
@@ -297,7 +373,7 @@ class TestFillExact:
         for rule, dims, p in cases:
             grid = GridSpec(dims)
             exact = fill_probability_exact(rule, grid, p)
-            est = fill_probability(rule, grid, p, 40_000, seed=17)
+            (est,) = fill_probability(rule, grid, [p], 40_000, seed=17)
             sigma = max(est.stderr, (exact * (1 - exact) / est.trials) ** 0.5)
             assert abs(est.mean - exact) <= 3.0 * max(sigma, 1e-9)
 
@@ -499,8 +575,8 @@ class TestDimensionMismatch:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: fill_probability(STD2, GridSpec((4,)), 0.5, 10, seed=0),
-            lambda: fill_probability(STD2, GridSpec((5000,)), 0.5, 2, seed=0),
+            lambda: fill_probability(STD2, GridSpec((4,)), [0.5], 10, seed=0),
+            lambda: fill_probability(STD2, GridSpec((5000,)), [0.5], 2, seed=0),
             lambda: fill_success_counts(STD2, GridSpec((4,))),
             lambda: subset_success_counts(STD2, GridSpec((4,)), np.arange(4), np.arange(4)),
             lambda: estimate_pc(STD2, GridSpec((8,)), p_tolerance=0.1, trials_per_probe=10),

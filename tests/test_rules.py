@@ -1,4 +1,5 @@
 import zlib
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -492,10 +493,57 @@ class TestStepOps:
         assert _step_form(rule.kind, weights, rule.theta)[0] == form
         assert count_calls(form, weights, rule.theta) == calls
 
+    def test_the_form_is_chosen_once_for_a_rule_and_grid(self, monkeypatch):
+        # Choosing a form dry-runs both (over a second for a stencil of 2^17
+        # offsets), so later closures of the same rule and grid reuse it.
+        import bootgrid.rules as rules
+
+        dry_runs, ops = [], rules._step_ops
+
+        def counted(form, planes, *args):
+            if isinstance(planes, repeat):
+                dry_runs.append(form)
+            return ops(form, planes, *args)
+
+        monkeypatch.setattr(rules, "_step_ops", counted)
+        rules._chosen_form.cache_clear()
+        rule, grid = make_rule(RuleFamily.one_b(40)), GridSpec((90, 3))
+        cfg = random_configuration(grid, 0.5, Stream(4))
+        for _ in range(2):
+            assert closure_fast(cfg, rule) == closure_naive(cfg, rule)
+        assert dry_runs == ["counter", "levels"]
+        words = pack_lanes(cfg.cells[None])
+        for _ in range(2):
+            assert np.array_equal(unpack_lanes(closure_lanes(words, rule), 1)[0],
+                                  closure_naive(cfg, rule).cells)
+        assert dry_runs == ["counter", "levels"]
+
 
 def word_type(m):
     """The word closure_batch packs m configurations into."""
     return next(t for t in WORDS if m <= 8 * np.dtype(t).itemsize or t is np.uint64)
+
+
+def ref_pack_lanes(bits):
+    """Per-bit reference packer: bit j of word w is grid lanes * w + j."""
+    n, word = len(bits), word_type(len(bits))
+    lanes = 8 * np.dtype(word).itemsize
+    words = np.zeros((-(-n // lanes),) + bits.shape[1:], dtype=np.uint64)
+    for i in range(n):
+        words[i // lanes] |= bits[i].astype(np.uint64) << np.uint64(i % lanes)
+    return words.astype(word)
+
+
+class TestPackLanes:
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 2)])
+    def test_matches_a_per_bit_reference(self, shape):
+        cells = int(np.prod(shape))
+        for n in (1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128, 129):
+            bits = Stream((n, len(shape))).uniforms(n * cells).reshape((n,) + shape) < 0.5
+            words = pack_lanes(bits)
+            assert words.dtype == word_type(n) and words.shape == ref_pack_lanes(bits).shape
+            assert np.array_equal(words, ref_pack_lanes(bits)), n
+            assert np.array_equal(unpack_lanes(words, n), bits), n
 
 
 class TestClosureBatchWordWidths:
@@ -742,7 +790,7 @@ class TestStencilsLongerThanTheGrid:
     )
     def test_fill_probability_on_a_periodic_grid(self, name, dims, p):
         rule, grid = make_rule(RuleFamily.parse(name)), GridSpec(dims, "periodic")
-        est = fill_probability(rule, grid, p, 96, seed=5)
+        (est,) = fill_probability(rule, grid, [p], 96, seed=5)
         root = Stream((5, _STREAM_DOMAIN))
         filled = sum(
             closure_naive(random_configuration(grid, p, root.child(i)), rule).is_full()
