@@ -5,8 +5,9 @@ whole grid.  Trial ``i`` of a run draws one uniform per cell from
 substream ``(seed, domain, i)`` and thresholds it at p, which has two
 consequences used throughout the tests:
 
-* determinism: results depend only on (inputs, seed), never on chunking
-  or the number of worker threads;
+* determinism: results depend only on (inputs, seed), never on chunking;
+  a run's blocks (``_BLOCK``) depend on the grid and trial count alone,
+  and worker threads only decide how many of them run at once;
 * coupling: for p1 < p2 on the same seed, every trial's p1 configuration
   is a subset of its p2 configuration, so the fill indicator is monotone
   trial by trial, not just on average.
@@ -48,16 +49,11 @@ _STREAM_DOMAIN = 0x66696C6C
 
 EXACT_MAX_CELLS = 20
 
-# Grids up to this many cells are closed in stacked batches, 64 trials to a
-# word of the lane kernel; larger ones go through the row-packed closure
-# (closure_fast) one trial at a time.
-_BATCH_CELL_LIMIT = 4096
-
-# Uniforms a draw makes, at most or about (see draw_occupancy).  A draw's
-# temporaries take 16 bytes a uniform, and a draw of 2^15 uniforms costs no
-# more a uniform than one of 2^16, so the smaller draw lowers peak memory
-# at no cost in time.
-_DRAW_SIZE = 1 << 15
+# The one budget of a Monte Carlo block, in cell-words: a grid of at most
+# _BLOCK cells takes the lane kernel, at most _BLOCK // cells 64-trial words
+# a block, and a larger one closure_fast, one trial a block.  A draw takes
+# at most _BLOCK uniforms, whose temporaries take 16 bytes each.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,18 +72,16 @@ class Estimate:
             raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
 
 
-def _chunk_size(cells: int, trials: int, threads: int) -> int:
-    """Trials a block.
-
-    On the batch path a block is whole 64-trial words of the lane kernel,
-    about 2^16 words, but no more words than ``trials / threads`` needs,
-    so a threaded run has a block for every thread.  On the per-trial
-    path a block holds about 2^16 cells.
-    """
-    units = max(1, min(4096, (1 << 16) // max(cells, 1)))
-    if cells > _BATCH_CELL_LIMIT:
-        return units
-    return 64 * min(units, -(-trials // (64 * max(threads, 1))))
+def _chunk_size(cells: int, trials: int) -> int:
+    """Trials a block, from the grid and the trial count alone: whole
+    64-trial words, at most ``_BLOCK // cells`` of them, split evenly over
+    the fewest blocks that hold the run; one trial above ``_BLOCK`` cells."""
+    most = _BLOCK // cells
+    if not most:
+        return 1
+    words = -(-trials // 64)
+    blocks = -(-words // most)
+    return 64 * -(-words // blocks)
 
 
 def draw_occupancy(
@@ -100,12 +94,12 @@ def draw_occupancy(
     ``ps[r]``) exactly when ``count[i, c] <= r``.  The counts are of the
     narrowest unsigned type that holds ``len(ps)``.
 
-    Uniforms are drawn about 2^15 at a time, whole trials of a small grid
-    or pieces of one trial of a larger one, and each piece is compared
-    with every p and freed before the next draw, so no draw holds a large
-    float array."""
+    Uniforms are drawn at most ``_BLOCK`` (2^15) at a time, whole trials
+    of a small grid or pieces of one trial of a larger one, and each piece
+    is compared with every p and freed before the next draw, so no draw
+    holds a large float array."""
     count = np.zeros((m, cells), dtype=np.min_scalar_type(len(ps)))
-    per_draw, piece = max(1, _DRAW_SIZE // cells), min(cells, _DRAW_SIZE)
+    per_draw, piece = max(1, _BLOCK // cells), min(cells, _BLOCK)
     for s in range(0, m, per_draw):
         k = min(per_draw, m - s)
         for c in range(0, cells, piece):
@@ -135,8 +129,9 @@ def sample_estimate(
     are drawn in blocks by :func:`draw_occupancy`, once a block whatever
     the number of p values, and ``count_successes`` gets each block's
     ``(m, cells)`` boolean stack at each distinct p and returns how many of
-    its m trials succeed.  Blocks are sized by :func:`_chunk_size` and, with
-    ``threads > 1``, counted on a thread pool; neither changes a number.
+    its m trials succeed.  Blocks are sized by :func:`_chunk_size` from
+    ``cells`` and ``trials`` alone, so a run has the same blocks at any
+    ``threads``; with ``threads > 1`` they are counted on a thread pool.
     """
     ps = list(ps)
     for p in ps:
@@ -148,7 +143,7 @@ def sample_estimate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     distinct = sorted(set(ps))
     root = Stream((seed, domain))
-    chunk = _chunk_size(cells, trials, threads)
+    chunk = _chunk_size(cells, trials)
 
     def block(start: int) -> list[int]:
         count = draw_occupancy(root, start, min(chunk, trials - start), cells, distinct)
@@ -180,11 +175,11 @@ def fill_probability(
     """Fraction of trials whose closure is the full grid, for each p of
     ``ps`` in its order, every p from the same draws.
 
-    Only the lane-kernel path uses ``threads``: the per-trial path's
-    ``closure_fast`` holds the GIL through many small steps, so a second
-    thread would only wait."""
+    A grid of at most ``_BLOCK`` cells is closed on the lane kernel by
+    ``threads`` workers; a larger one a trial at a time by ``closure_fast``
+    on one thread, since it holds the GIL and a second would only wait."""
     _check_dimensions(grid, rule)
-    batch = grid.cells <= _BATCH_CELL_LIMIT
+    batch = grid.cells <= _BLOCK
 
     def filled(occ: np.ndarray) -> int:
         m = len(occ)
@@ -252,8 +247,11 @@ def subset_success_counts(
     m = len(free)
     words = max(1, (1 << m) // 64)
     # A block is a power of two of words, about 2^14 words over all its
-    # cells.  The word count is a power of two too, so the first block and
-    # the doubling ranges after it tile the 2^m subsets exactly.
+    # cells, half of _BLOCK: the first block is closed whole before the skip
+    # starts, so a larger one closes words the skip would settle (at 2^15,
+    # 512 of east_column 20's 16384 words, more than it closes in all).  The
+    # word count is a power of two too, so the first block and the doubling
+    # ranges after it tile the 2^m subsets exactly.
     block = min(words, 1 << max(0, ((1 << 14) // grid.cells).bit_length() - 1))
     # With m < 6 free cells word 0 is the only word and only its lanes below
     # 2^m are subsets; the others repeat them and must not be counted.

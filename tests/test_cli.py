@@ -92,9 +92,8 @@ class TestDeterminism:
         assert outs[0] == outs[1] == outs[2]
 
     def test_growth_identical_data_lines_across_threads(self, monkeypatch, capsys):
-        # 1000 trials are one block at --threads 1 and one block a thread
-        # above it, each drawn once for both p values; the rows must not
-        # depend on either.
+        # 1000 trials are one block at every --threads, drawn once for both
+        # p values; the draws and the rows must not depend on the threads.
         import bootgrid.montecarlo as mc
 
         args = ["growth", "--event", "north_rows", "--size", "4", "--p", "0.1,0.3",
@@ -102,7 +101,7 @@ class TestDeterminism:
         draw, draws = mc.draw_occupancy, []
 
         def counted(*a):
-            draws.append(a[1])
+            draws.append(a[1:3])
             return draw(*a)
 
         monkeypatch.setattr(mc, "draw_occupancy", counted)
@@ -110,9 +109,32 @@ class TestDeterminism:
         for t in (1, 2, 3):
             draws.clear()
             code, out, _ = run_cli(capsys, *args, "--threads", str(t))
-            assert code == 0 and len(draws) == t
+            assert code == 0 and draws == [(0, 1000)]
             outs[t] = data_lines(out)
         assert outs[1] == outs[2] == outs[3]
+
+    def test_threaded_blocks_run_on_the_pool(self, monkeypatch, capsys):
+        # 1000 trials of a 64^2 grid are 16 lane words, two blocks of 8 a
+        # probe, so at --threads 2 every probe maps its two blocks on a pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        import bootgrid.montecarlo as mc
+
+        mapped = []
+
+        class Pool(ThreadPoolExecutor):
+            def map(self, fn, starts):
+                mapped.append((self._max_workers, list(starts)))
+                return super().map(fn, starts)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+        args = ["pc", "--rule", "standard2", "--L", "64", "--trials", "1000",
+                "--seed", "7", "--tol", "0.01"]
+        _, one, _ = run_cli(capsys, *args, "--threads", "1")
+        assert mapped == []
+        _, two, _ = run_cli(capsys, *args, "--threads", "2")
+        assert mapped == [(2, [0, 512])] * 7
+        assert data_lines(two) == data_lines(one)
 
     def test_manifest_present(self, capsys):
         _, out, _ = run_cli(capsys, *self.PC_ARGS)

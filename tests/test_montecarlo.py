@@ -20,10 +20,26 @@ from bootgrid import (
     random_configuration,
 )
 from bootgrid import GrowthEventSpec, estimate_growth_mc
-from bootgrid.montecarlo import draw_occupancy, sample_estimate, subset_success_counts
+from bootgrid.montecarlo import (
+    _STREAM_DOMAIN,
+    draw_occupancy,
+    sample_estimate,
+    subset_success_counts,
+)
 from reference import ref_subset_success_counts
 
 STD2 = make_rule(RuleFamily.standard(2))
+
+
+def rebuilt_fill(grid, ps, trials, seed, closure=closure_naive):
+    """The fill fraction at each p of ``ps``, every trial rebuilt alone from
+    its own stream and closed by ``closure``."""
+    root = Stream((seed, _STREAM_DOMAIN))
+    return [
+        sum(closure(random_configuration(grid, p, root.child(i)), STD2).is_full()
+            for i in range(trials)) / trials
+        for p in ps
+    ]
 
 
 def exact_root_2x2(target=0.5, tol=1e-12):
@@ -83,35 +99,25 @@ class TestFillProbability:
     def test_batch_path_matches_per_trial_reconstruction(self):
         # 70 cells goes through the stacked-batch closure; rebuild every
         # trial one by one from its stream and compare exactly.
-        from bootgrid.montecarlo import _BATCH_CELL_LIMIT, _STREAM_DOMAIN
+        from bootgrid.montecarlo import _BLOCK
         from bootgrid.rules import closure_fast
 
-        assert _BATCH_CELL_LIMIT >= 70  # guard: adjust test if tuning changes
         grid = GridSpec((7, 10))
+        assert grid.cells <= _BLOCK  # guard: adjust test if tuning changes
         (est,) = fill_probability(STD2, grid, [0.35], 600, seed=4)
-        root = Stream((4, _STREAM_DOMAIN))
-        succ = 0
-        for i in range(600):
-            cfg = random_configuration(grid, 0.35, root.child(i))
-            succ += closure_fast(cfg, STD2).is_full()
-        assert est.mean == succ / 600
+        assert [est.mean] == rebuilt_fill(grid, [0.35], 600, 4, closure_fast)
 
     def test_block_drawn_in_several_parts(self):
         # 1200 cells: uniforms are drawn 27 trials at a time, so the one
         # block of 150 trials takes six draws; its third lane word is
         # partly idle.
-        from bootgrid.montecarlo import _STREAM_DOMAIN
         from bootgrid.rules import closure_fast
 
         grid = GridSpec((40, 30))
         (est,) = fill_probability(STD2, grid, [0.07], 150, seed=6)
-        root = Stream((6, _STREAM_DOMAIN))
-        succ = sum(
-            closure_fast(random_configuration(grid, 0.07, root.child(i)), STD2).is_full()
-            for i in range(150)
-        )
-        assert 0 < succ < 150
-        assert est.mean == succ / 150
+        (want,) = rebuilt_fill(grid, [0.07], 150, 6, closure_fast)
+        assert 0 < want < 1
+        assert est.mean == want
 
     def test_block_size_does_not_change_results(self, monkeypatch):
         import bootgrid.montecarlo as mc
@@ -122,46 +128,102 @@ class TestFillProbability:
         assert fill_probability(STD2, grid, [0.35], 1000, seed=4) == [whole]
         assert fill_probability(STD2, grid, [0.35], 1000, seed=4, threads=3) == [whole]
 
-    def test_threaded_runs_split_into_a_block_per_thread(self):
-        from bootgrid.montecarlo import _chunk_size
+    @pytest.mark.parametrize(
+        "dims, trials",
+        [((8, 8), 5000), ((64, 64), 1000), ((70, 70), 40), ((128, 128), 129), ((182, 182), 3)],
+    )
+    def test_blocks_do_not_depend_on_threads(self, monkeypatch, dims, trials):
+        # A run's draws, (start, m) for each block, are the same at every
+        # thread count.  A lane block is whole 64-trial words, at most
+        # _BLOCK // cells of them, the last block holding what is left; a
+        # block above _BLOCK cells is one trial.
+        import bootgrid.montecarlo as mc
 
-        for cells, trials, threads in [(64, 5000, 4), (36, 2000, 3), (256, 2000, 8), (4096, 200, 2)]:
-            chunk = _chunk_size(cells, trials, threads)
-            assert chunk % 64 == 0
-            assert -(-trials // chunk) >= threads
-        assert _chunk_size(4096, 32, 1) == 64
-        assert _chunk_size(64, 5000, 0) == _chunk_size(64, 5000, 1)
+        grid, draw, draws = GridSpec(dims), mc.draw_occupancy, []
+
+        def counted(root, start, m, *rest):
+            draws.append((start, m))
+            return draw(root, start, m, *rest)
+
+        monkeypatch.setattr(mc, "draw_occupancy", counted)
+        runs = []
+        for threads in (1, 2, 3):
+            draws.clear()
+            est = fill_probability(STD2, grid, [0.05], trials, seed=2, threads=threads)
+            runs.append((est, sorted(draws)))
+        assert runs[0] == runs[1] == runs[2]
+        blocks = runs[0][1]
+        sizes = [m for _, m in blocks]
+        assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(sizes))]
+        assert sum(sizes) == trials
+        most = mc._BLOCK // grid.cells
+        if most:
+            assert all(m % 64 == 0 and m <= 64 * most for m in sizes[:-1])
+            assert sizes[-1] <= sizes[0] <= 64 * most
+        else:
+            assert sizes == [1] * trials
 
     def test_queue_path_matches_per_trial_reconstruction(self):
-        # 4900 cells exceeds the batch limit, exercising the per-trial
-        # closure_fast path; reconstruct with the naive closure instead.
-        from bootgrid.montecarlo import _BATCH_CELL_LIMIT, _STREAM_DOMAIN
-        from bootgrid.rules import closure_naive
+        # 182^2 cells is above _BLOCK, exercising the per-trial closure_fast
+        # path; reconstruct with the naive closure instead.
+        from bootgrid.montecarlo import _BLOCK
 
-        grid = GridSpec((70, 70))
-        assert grid.cells > _BATCH_CELL_LIMIT
-        (est,) = fill_probability(STD2, grid, [0.15], 40, seed=19)
-        root = Stream((19, _STREAM_DOMAIN))
-        succ = 0
-        for i in range(40):
-            cfg = random_configuration(grid, 0.15, root.child(i))
-            succ += closure_naive(cfg, STD2).is_full()
-        assert est.mean == succ / 40
+        grid, ps = GridSpec((182, 182)), [0.03, 0.05]
+        assert grid.cells > _BLOCK
+        est = fill_probability(STD2, grid, ps, 6, seed=19)
+        want = rebuilt_fill(grid, ps, 6, 19)
+        assert 0 < want[1] < 1
+        assert [e.mean for e in est] == want
+
+    def test_70x70_lane_path_matches_per_trial_reconstruction(self):
+        # 4900 cells take the lane kernel: 40 trials are one block.
+        from bootgrid.montecarlo import _BLOCK
+
+        grid, ps = GridSpec((70, 70)), [0.05, 0.15]
+        assert grid.cells <= _BLOCK
+        est = fill_probability(STD2, grid, ps, 40, seed=19)
+        want = rebuilt_fill(grid, ps, 40, 19)
+        assert 0 < want[0] < 1
+        assert [e.mean for e in est] == want
+
+    @pytest.mark.parametrize(
+        "dims, ps, trials, kernel, other",
+        [
+            ((128, 256), [0.04, 0.045, 0.05], 32, "closure_batch", "closure_fast"),
+            ((3, 10923), [0.75, 0.8, 0.85], 16, "closure_fast", "closure_batch"),
+        ],
+        ids=["lane_at_2^15", "per_trial_at_2^15+1"],
+    )
+    def test_rows_at_the_block_boundary(self, monkeypatch, dims, ps, trials, kernel, other):
+        # 2^15 cells is the largest grid on the lane kernel and 2^15 + 1 the
+        # smallest closed one trial at a time; the other kernel never runs.
+        import bootgrid.montecarlo as mc
+
+        grid = GridSpec(dims)
+        assert grid.cells == mc._BLOCK + (kernel == "closure_fast")
+
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{other} ran on a grid of {grid.cells} cells")
+
+        monkeypatch.setattr(mc, other, refused)
+        got = [e.mean for e in fill_probability(STD2, grid, ps, trials, seed=5)]
+        assert got == rebuilt_fill(grid, ps, trials, 5)
+        assert 0 < got[1] < 1
 
     def test_per_trial_path_runs_on_one_thread(self, monkeypatch):
         # closure_fast holds the GIL, so a second thread would only wait:
-        # 40 trials of 4900 cells are four blocks, and none goes to a pool.
+        # 3 trials of 182^2 cells are three blocks, and none goes to a pool.
         import bootgrid.montecarlo as mc
 
-        grid = GridSpec((70, 70))
-        (one,) = fill_probability(STD2, grid, [0.15], 40, seed=19, threads=1)
+        grid = GridSpec((182, 182))
+        (one,) = fill_probability(STD2, grid, [0.05], 3, seed=19, threads=1)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool started on the per-trial path")
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", no_pool)
-        assert -(-40 // mc._chunk_size(grid.cells, 40, 2)) > 1
-        assert fill_probability(STD2, grid, [0.15], 40, seed=19, threads=2) == [one]
+        assert mc._chunk_size(grid.cells, 3) == 1
+        assert fill_probability(STD2, grid, [0.05], 3, seed=19, threads=2) == [one]
 
     def test_coupled_monotone_in_p(self):
         grid = GridSpec((6, 6))
@@ -214,11 +276,11 @@ class TestDrawOccupancy:
         assert np.array_equal(whole[1], root.child(5).uniforms(150))
 
     def test_large_trial_is_drawn_in_bounded_pieces(self, monkeypatch):
-        # A trial of more than _DRAW_SIZE cells is drawn in pieces of at most
-        # _DRAW_SIZE uniforms, bit-identical to drawing each trial at once.
-        from bootgrid.montecarlo import _DRAW_SIZE
+        # A trial of more than _BLOCK cells is drawn in pieces of at most
+        # _BLOCK uniforms, bit-identical to drawing each trial at once.
+        from bootgrid.montecarlo import _BLOCK
 
-        cells, root = 2 * _DRAW_SIZE + 1000, Stream((2, 9))
+        cells, root = 2 * _BLOCK + 1000, Stream((2, 9))
         want = root.uniform_block(3, 2, cells) < 0.3
         sizes = []
         draw = Stream.uniform_block
@@ -229,7 +291,7 @@ class TestDrawOccupancy:
 
         monkeypatch.setattr(Stream, "uniform_block", spy)
         assert np.array_equal(draw_occupancy(root, 3, 2, cells, [0.3]) == 0, want)
-        assert sizes == [_DRAW_SIZE, _DRAW_SIZE, 1000] * 2
+        assert sizes == [_BLOCK, _BLOCK, 1000] * 2
 
 
 class TestEveryPOfOneDraw:
@@ -249,7 +311,7 @@ class TestEveryPOfOneDraw:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize(
-        "grid, trials", [(GridSpec((6, 6)), 300), (GridSpec((72, 72)), 25)],
+        "grid, trials", [(GridSpec((6, 6)), 300), (GridSpec((182, 182)), 3)],
         ids=["batch", "per_trial"],
     )
     def test_fill_equals_single_p_runs(self, grid, trials, threads):
