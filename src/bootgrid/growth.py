@@ -54,9 +54,11 @@ configurations themselves, and against full-grid closures by
 ``closure_naive``.
 
 Monte Carlo draws its trials with the sampler that fill estimates use
-(:func:`bootgrid.montecarlo.sample_estimate`), once for every p of a run,
-and closes each block of trials of the same grid with
-``rules.closure_batch``.
+(:func:`bootgrid.montecarlo.sample_estimate`), once for every p of a run.
+At each p a block's helpers are packed into lane words
+(``rules.pack_lanes``), the rectangle cells are all-ones words, and the
+block is closed by ``rules.closure_lanes``; a trial's hit is the AND of
+its lane over the targets, counted in the words.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import numpy as np
 
 from .lattice import GridSpec
 from .montecarlo import Estimate, sample_estimate
-from .rules import Rule, RuleFamily, closure_batch, make_rule
+from .rules import Rule, RuleFamily, closure_lanes, make_rule, pack_lanes, unpack_lanes
 
 # The largest size growth_success_counts counts at.  Its integers grow with
 # the square of the size, so the count's cost grows with the cube: 0.25-0.45 s
@@ -355,17 +357,21 @@ def estimate_growth_mc(
     ``(seed, domain, i)``, so results do not depend on how trials are
     blocked, on ``threads`` or on the other p values.
     :func:`bootgrid.montecarlo.sample_estimate` draws the helpers of each
-    block of trials once; at each p the rectangle cells are filled in
-    around them and the stack is closed by ``closure_batch``.
+    block of trials once.  At each p the block's helpers are packed by
+    ``pack_lanes``, one trial a lane, into a grid of words whose rectangle
+    cells are all-ones words, closed by ``closure_lanes``, and ANDed over
+    the target cells; the hits are the set bits of the block's own lanes.
     """
     grid, helpers, targets = spec.layout()
 
     def realised(helper_occ: np.ndarray) -> int:
-        m = len(helper_occ)
-        occ = np.ones((m, grid.cells), dtype=bool)
-        occ[:, helpers] = helper_occ
-        closed = closure_batch(occ.reshape((m,) + grid.shape), _ONE_TWO)
-        return int(closed.reshape(m, -1)[:, targets].all(axis=1).sum())
+        words = pack_lanes(helper_occ)  # (words, helpers)
+        occ = np.full((len(words), grid.cells), np.iinfo(words.dtype).max, dtype=words.dtype)
+        occ[:, helpers] = words
+        closed = closure_lanes(occ.reshape((len(words),) + grid.shape), _ONE_TWO)
+        hits = np.bitwise_and.reduce(closed.reshape(len(words), -1)[:, targets], axis=1)
+        # only the block's own lanes: those past it hold the rectangle alone
+        return int(np.count_nonzero(unpack_lanes(hits[:, None], len(helper_occ))))
 
     return sample_estimate(realised, len(helpers), ps, trials, seed, _STREAM_DOMAIN, threads)
 

@@ -47,14 +47,15 @@ bit-parallel kernel in two packings, and by a naive oracle:
     stopped changing, they are set aside and the rest are gathered into a
     smaller array (and the calls built again for it), so a batch is not
     stepped whole until its slowest grid settles.  ``closure_batch`` packs
-    a stack of boolean grids into lanes (one transposed copy that puts the
-    lanes of a cell side by side, then one ``packbits`` along them) and
-    unpacks the result, for the Monte Carlo trial blocks of fill estimates
-    and of the growth events:
-    64 to a uint64 word, or a block of fewer than 64 into one word of the
-    narrowest unsigned type that holds it (uint8, uint16 or uint32), since
-    a step costs the same number of calls at any width and a narrow word
-    moves fewer bytes.  Exact subset enumeration (``fill_success_counts``)
+    a stack of boolean grids into lanes with ``pack_lanes`` (one transposed
+    copy that puts the lanes of a cell side by side, then one ``packbits``
+    along them) and unpacks the result, for the Monte Carlo trial blocks of
+    fill estimates; the growth events pack only their helper cells and
+    close the words with ``closure_lanes`` directly.  Lanes go 64 to a
+    uint64 word, or a block of fewer than 64 into one word of the narrowest
+    unsigned type that holds it (uint8, uint16 or uint32), since a step
+    costs the same number of calls at any width and a narrow word moves
+    fewer bytes.  Exact subset enumeration (``fill_success_counts``)
     builds uint64 lanes directly from the subset indices.
 
 All of them agree bit for bit.  The naive step counts neighbours in the

@@ -343,6 +343,31 @@ class TestGrowthMonteCarlo:
         assert 0 < est.mean < 1
         assert est.mean == occupied.any(axis=1).sum() / 7000
 
+    @pytest.mark.parametrize("direction", ["north_rows", "east_column"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 10])
+    def test_each_trial_against_a_full_grid_closure(self, direction, size):
+        # Trial i succeeds exactly when the full-grid closure_naive oracle of
+        # its own helpers does, at block sizes around the lane word widths.
+        from bootgrid.growth import _STREAM_DOMAIN
+
+        spec, seed, ps = GrowthEventSpec(direction, size), 17, [0.0, 0.1, 0.5, 1.0]
+        event = row_event_by_closure if direction == "north_rows" else column_event_by_closure
+        weights = 1 << np.arange(spec.helper_cells)
+        by_bits, means = {}, set()
+        for m in (1, 63, 64, 65, 130):
+            ests = estimate_growth_mc(spec, ps, m, seed)
+            assert estimate_growth_mc(spec, ps, m, seed, threads=2) == ests
+            uniforms = Stream((seed, _STREAM_DOMAIN)).uniform_block(0, m, spec.helper_cells)
+            for p, est in zip(ps, ests):
+                hits = 0
+                for bits in ((uniforms < p) @ weights).tolist():
+                    if bits not in by_bits:
+                        by_bits[bits] = event(size, bits)
+                    hits += by_bits[bits]
+                assert est.mean == hits / m, (m, p)
+                means.add(est.mean)
+        assert any(0 < mean < 1 for mean in means)
+
 
 class TestHorizontalStepProbability:
     def test_near_einv_at_strategy_start(self):
