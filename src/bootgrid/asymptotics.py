@@ -10,6 +10,19 @@ and the critical volume is its inverse: ln V_c = -(log nucleation
 probability), i.e. ln V_c = (C/p) ln^2(1/p) + (C'/p) ln(1/p) with
 C = 1/6 and C' = (1/3) ln(3e/8) for the (1,2) rule.  Everything here is
 a pure function of its arguments.
+
+The stage factor (8p/(3e)) exp(3np) equals 8 x p^2 / e exactly at the
+width x = exp(3np)/(3p).  Under rule ``12``, 8 x p^2 leads the chance
+that an x-wide rectangle absorbs its next row (the 8 of the
+``north_rows`` event's two-helper count 8x - 16), and 1/e is about the
+chance that its sideways growth survives one stage.  A rectangle's next
+column is absorbed by a helper in any of the three columns past its
+edge, so sideways growth stops only at three empty columns of height n
+in a row, a run that starts at a given column with chance about
+exp(-3np).  From width x_n to x_{n+1} the rectangle crosses about
+exp(3np) columns, so the run turns up about once per stage.
+``growth.horizontal_step_probability`` models a different stage:
+columns absorbed only by their own helpers, at widths exp(np)/p.
 """
 
 from __future__ import annotations

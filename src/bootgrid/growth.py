@@ -56,9 +56,10 @@ configurations themselves, and against full-grid closures by
 Monte Carlo draws its trials with the sampler that fill estimates use
 (:func:`bootgrid.montecarlo.sample_estimate`), once for every p of a run.
 At each p a block's helpers are packed into lane words
-(``rules.pack_lanes``), the rectangle cells are all-ones words, and the
-block is closed by ``rules.closure_lanes``; a trial's hit is the AND of
-its lane over the targets, counted in the words.
+(``rules.pack_lanes``) and closed by
+:func:`bootgrid.montecarlo.held_hits`, the rectangle cells held as
+all-ones words, as the enumeration closes its subsets; a trial's hit is
+the AND of its lane over the targets, counted in the words.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .lattice import GridSpec
-from .montecarlo import Estimate, sample_estimate
-from .rules import Rule, RuleFamily, closure_lanes, make_rule, pack_lanes, unpack_lanes
+from .montecarlo import Estimate, held_hits, sample_estimate
+from .rules import Rule, RuleFamily, make_rule, pack_lanes, unpack_lanes
 
 # The largest size growth_success_counts counts at.  Its integers grow with
 # the square of the size, so the count's cost grows with the cube: 0.25-0.45 s
@@ -358,33 +359,35 @@ def estimate_growth_mc(
     blocked, on ``threads`` or on the other p values.
     :func:`bootgrid.montecarlo.sample_estimate` draws the helpers of each
     block of trials once.  At each p the block's helpers are packed by
-    ``pack_lanes``, one trial a lane, into a grid of words whose rectangle
-    cells are all-ones words, closed by ``closure_lanes``, and ANDed over
-    the target cells; the hits are the set bits of the block's own lanes.
+    ``pack_lanes``, one trial a lane, and closed by
+    :func:`bootgrid.montecarlo.held_hits` with the rectangle cells held
+    occupied; the hits are the set bits of the block's own lanes.
     """
     grid, helpers, targets = spec.layout()
 
-    def realised(helper_occ: np.ndarray) -> int:
-        words = pack_lanes(helper_occ)  # (words, helpers)
-        occ = np.full((len(words), grid.cells), np.iinfo(words.dtype).max, dtype=words.dtype)
-        occ[:, helpers] = words
-        closed = closure_lanes(occ.reshape((len(words),) + grid.shape), _ONE_TWO)
-        hits = np.bitwise_and.reduce(closed.reshape(len(words), -1)[:, targets], axis=1)
+    def realised(occ: np.ndarray) -> int:
+        hits = held_hits(_ONE_TWO, grid, helpers, targets, pack_lanes(occ))
         # only the block's own lanes: those past it hold the rectangle alone
-        return int(np.count_nonzero(unpack_lanes(hits[:, None], len(helper_occ))))
+        return int(np.count_nonzero(unpack_lanes(hits[:, None], len(occ))))
 
     return sample_estimate(realised, len(helpers), ps, trials, seed, _STREAM_DOMAIN, threads)
 
 
 def horizontal_step_probability(p: float, n: float) -> float:
-    """Probability that a height-n rectangle completes one full horizontal
-    growth stage.
+    """Probability that a height-n rectangle absorbs every column of one
+    horizontal stage, each column absorbed only by its own helpers.
 
-    A single column is absorbed with probability 1 - (1-p)^n; a stage
-    spans the gap between consecutive stage widths x_n = exp(n*p)/p, so
-    the stage succeeds with probability (1 - (1-p)^n)^(x_{n+1} - x_n).
-    With this stage geometry the value tends to 1/e as p -> 0 at a fixed
-    relative stage position.
+    That is the ``east_column`` event, column after column: a column is
+    missed with probability (1-p)^n and absorbed with 1 - (1-p)^n.  A
+    stage spans the gap between consecutive widths x_n = exp(n*p)/p, so
+    the value is (1 - (1-p)^n)^(x_{n+1} - x_n), which tends to 1/e as
+    p -> 0 at a fixed relative stage position.
+
+    This is not rule ``12``'s horizontal stage.  Rule ``12`` reaches two
+    cells along x, so a rectangle's next column is also absorbed by a
+    helper in either of the two columns past it, and horizontal growth
+    stops only at three empty columns in a row (see
+    :mod:`bootgrid.asymptotics` for the widths that geometry gives).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")

@@ -104,11 +104,11 @@ def bracketing_epsilon(p: float, model: ScalingModel) -> float:
         ln ln(1/p) <= ln ln ln V  <= ln ln(1/p) + eps
 
     Returns inf if one of the epsilon-free lower bounds fails.
+    ``critical_log_volume`` refuses p above exp(-2), so ln(1/p) >= 2 and
+    every logarithm here is defined.
     """
     ln_v = critical_log_volume(model, p)
     ln_inv = log(1.0 / p)
-    if ln_inv <= 1.0:
-        raise ValueError(f"bracketing needs ln(1/p) > 1, got p = {p}")
     if ln_v < 1.0 / p:
         return float("inf")
     ll = log(ln_v)

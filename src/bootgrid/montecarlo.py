@@ -208,6 +208,26 @@ def fill_success_counts(rule: Rule, grid: GridSpec) -> np.ndarray:
     return subset_success_counts(rule, grid, every, every)
 
 
+def held_hits(
+    rule: Rule, grid: GridSpec, free: np.ndarray, target: np.ndarray, words: np.ndarray
+) -> np.ndarray:
+    """Close held-cell configurations on lane words and test their targets.
+
+    Row ``i`` of ``words`` (shape ``(n, len(free))``, any unsigned word
+    type) is one grid of lane words: ``words[i, h]`` goes into cell
+    ``free[h]`` (a flat index) and every other cell is held occupied, an
+    all-ones word.  The grids are closed under ``rule`` by
+    :func:`closure_lanes`, and the result's word ``i`` is the AND of grid
+    ``i``'s closed words over the ``target`` cells: bit ``j`` is set when
+    lane ``j``'s closure occupies every target.  Exact enumeration
+    (:func:`subset_success_counts`) and the growth events' Monte Carlo
+    both close their configurations here."""
+    occ = np.full((len(words), grid.cells), np.iinfo(words.dtype).max, dtype=words.dtype)
+    occ[:, free] = words
+    closed = closure_lanes(occ.reshape((len(words),) + grid.shape), rule, grid.periodic)
+    return np.bitwise_and.reduce(closed.reshape(len(words), -1)[:, target], axis=1)
+
+
 # bit j of _LANE_BITS[h] is bit h of j, and bit j of _LANE_CLASSES[c] is set
 # when j has c bits set
 _LANE_BITS = np.array([sum(1 << j for j in range(64) if j >> h & 1) for h in range(6)], np.uint64)
@@ -226,7 +246,7 @@ def subset_success_counts(
 
     ``free`` and ``target`` are flat cell indices; free cell ``free[h]``
     corresponds to bit ``h`` of the subset index.  Exact over all
-    2^len(free) subsets, 64 to a word of :func:`closure_lanes`.  Subset
+    2^len(free) subsets, 64 to a word, closed by :func:`held_hits`.  Subset
     ``64 g + j`` has ``popcount(g) + popcount(j)`` cells, so the hits of
     word ``g`` are counted by popcount once per lane class (the lanes
     ``j`` of one popcount).
@@ -261,9 +281,7 @@ def subset_success_counts(
     hits = np.empty(words, dtype=np.uint64)  # bit j of word g: subset 64 g + j hits
 
     def close(g: np.ndarray) -> None:
-        planes = _subset_planes(g, grid.cells, free)
-        closed = closure_lanes(planes.reshape((len(g),) + grid.shape), rule, grid.periodic)
-        hit = hits[g] = np.bitwise_and.reduce(closed.reshape(len(g), -1)[:, target], axis=1)
+        hit = hits[g] = held_hits(rule, grid, free, target, _subset_words(g, m))
         high = _popcount(g)[:, None]
         np.add.at(counts, high + np.arange(len(classes)), _popcount(hit[:, None] & classes))
 
@@ -298,20 +316,19 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return (total >> np.uint64(56)).astype(np.int64)
 
 
-def _subset_planes(words: np.ndarray, cells: int, free: np.ndarray) -> np.ndarray:
-    """Subset ``64 g + j`` of the free cells as lane ``j`` of word ``g``,
-    for each word index ``g`` in ``words``, every other cell occupied in
-    every lane: free cell ``h`` holds bit ``h`` of the subset index.  Below
-    bit 6 that bit depends on the lane only, a constant word; from bit 6 on
-    it depends on the word only, so the word is all ones or all zeros."""
+def _subset_words(words: np.ndarray, m: int) -> np.ndarray:
+    """Subset ``64 g + j`` of ``m`` free cells as lane ``j`` of word ``g``,
+    for each word index ``g`` in ``words``, shape ``(len(words), m)``:
+    free cell ``h`` holds bit ``h`` of the subset index.  Below bit 6 that
+    bit depends on the lane only, a constant word; from bit 6 on it depends
+    on the word only, so the word is all ones or all zeros."""
     g = np.asarray(words).astype(np.uint64)
-    planes = np.full((len(g), cells), ~np.uint64(0))
-    for h, cell in enumerate(free):
-        if h < 6:
-            planes[:, cell] = _LANE_BITS[h]
-        else:
-            planes[:, cell] = np.uint64(0) - ((g >> np.uint64(h - 6)) & np.uint64(1))
-    return planes
+    out = np.empty((len(g), m), dtype=np.uint64)
+    for h in range(m):
+        out[:, h] = (
+            _LANE_BITS[h] if h < 6 else np.uint64(0) - ((g >> np.uint64(h - 6)) & np.uint64(1))
+        )
+    return out
 
 
 def fill_probability_exact(rule: Rule, grid: GridSpec, p: float) -> float:

@@ -50,12 +50,13 @@ bit-parallel kernel in two packings, and by a naive oracle:
     a stack of boolean grids into lanes with ``pack_lanes`` (one transposed
     copy that puts the lanes of a cell side by side, then one ``packbits``
     along them) and unpacks the result, for the Monte Carlo trial blocks of
-    fill estimates; the growth events pack only their helper cells and
-    close the words with ``closure_lanes`` directly.  Lanes go 64 to a
-    uint64 word, or a block of fewer than 64 into one word of the narrowest
-    unsigned type that holds it (uint8, uint16 or uint32), since a step
-    costs the same number of calls at any width and a narrow word moves
-    fewer bytes.  Exact subset enumeration (``fill_success_counts``)
+    fill estimates; the growth events pack only their helper cells, and
+    ``montecarlo.held_hits`` closes those words with every other cell held
+    occupied, as it closes the subsets of exact enumeration.  Lanes go 64
+    to a uint64 word, or a block of fewer than 64 into one word of the
+    narrowest unsigned type that holds it (uint8, uint16 or uint32), since
+    a step costs the same number of calls at any width and a narrow word
+    moves fewer bytes.  Exact subset enumeration (``fill_success_counts``)
     builds uint64 lanes directly from the subset indices.
 
 All of them agree bit for bit.  The naive step counts neighbours in the
@@ -449,9 +450,9 @@ def _step_ops(form, planes, weights, theta, out, scratch):
             for k in range(min(theta, total), max(0, theta - left - 1), -1):
                 into, old = out if k == theta else scratch[k], level.get(k)
                 if k > w:
-                    below = level.get(k - w)
-                    if below is None:
-                        continue
+                    # level k - w is set: it was in range at the plane
+                    # before, and plane 1 sets every level it reaches
+                    below = level[k - w]
                     if old is None:
                         yield np.bitwise_and, below, x, into
                     else:

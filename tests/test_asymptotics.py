@@ -238,6 +238,10 @@ class TestEpsilonWindow:
             3.0 * epsilon_window("standard2", 1e6), rel=1e-12
         )
 
+    def test_refuses_ln_v_at_most_e(self):
+        with pytest.raises(ValueError, match=r"need ln V > e, got 2\.0"):
+            epsilon_window("12", 2.0)
+
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
             epsilon_window("standard3", 1e6)

@@ -214,6 +214,19 @@ class TestTables:
         lines = data_lines(out)
         assert lines[0] == "family,lnv,pc_leading,window"
 
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (("--family", "1b:3"), "1b:3,1000000.0,9.543416598861116e-05,"),
+            (("--family", "standard3", "--C", "1"), "standard3,1000000.0,0.07238241365054197,"),
+        ],
+        ids=["1b:3", "standard3"],
+    )
+    def test_scaling_leaves_the_window_empty_without_a_window_law(self, capsys, argv, row):
+        code, out, _ = run_cli(capsys, "scaling", *argv, "--lnv", "1e6")
+        assert code == 0
+        assert data_lines(out)[1:] == [row]
+
     def test_dims_flag(self, capsys):
         code, out, _ = run_cli(capsys, "fill", "--rule", "standard2", "--dims", "6,3",
                                "--p", "0.4", "--trials", "100", "--seed", "0")
@@ -222,6 +235,12 @@ class TestTables:
 
 
 class TestExitCodes:
+    def test_invert_without_family_or_coefficients_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "invert", "--lnv", "1e6")
+        assert code == 1
+        assert "supply --family or --C/--Cprime" in err
+        assert out == ""
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "pc", "--rule", "standard2", "--L", "8", "--frobnicate")
         assert code == 2

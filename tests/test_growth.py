@@ -369,6 +369,32 @@ class TestGrowthMonteCarlo:
         assert any(0 < mean < 1 for mean in means)
 
 
+class TestRuleTwelveHorizontalReach:
+    """Under rule ``12`` a cell counts two cells to each side along x, so a
+    rectangle's next column is absorbed by a helper in any of the three
+    columns past its edge, and horizontal growth stops only at three empty
+    columns in a row.  This is not the column-by-column geometry of
+    :func:`horizontal_step_probability`."""
+
+    @staticmethod
+    def filled_columns(helper_columns, row):
+        grid = GridSpec((12, 6))
+        cfg = occupy_rect(empty_configuration(grid), Rect((0, 0), (2, 6)))
+        for x in helper_columns:
+            cfg = occupy_rect(cfg, Rect((x, row), (1, 1)))
+        closed = closure_naive(cfg, ONE_TWO).cells  # [y, x]
+        return [x for x in range(12) if closed[:, x].all()]
+
+    @pytest.mark.parametrize("row", [0, 3])
+    @pytest.mark.parametrize(
+        "helpers, filled",
+        [((4,), range(5)), ((5,), range(2)), ((4, 7), range(8)), ((4, 8), range(5))],
+        ids=["gap_2", "gap_3", "gaps_2_2", "gaps_2_3"],
+    )
+    def test_growth_stops_at_three_empty_columns(self, helpers, filled, row):
+        assert self.filled_columns(helpers, row) == list(filled)
+
+
 class TestHorizontalStepProbability:
     def test_near_einv_at_strategy_start(self):
         p = 1e-3
@@ -384,6 +410,10 @@ class TestHorizontalStepProbability:
 
     def test_tiny_n_tiny_p_near_zero(self):
         assert horizontal_step_probability(1e-8, 1) < 1e-6
+
+    def test_zero_when_a_column_misses_to_machine_precision(self):
+        # (1-p)^n rounds to 1, so no column is ever absorbed
+        assert horizontal_step_probability(1e-17, 1) == 0.0
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):

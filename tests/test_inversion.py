@@ -45,6 +45,11 @@ class TestInvertNumeric:
         with pytest.raises(ValueError):
             invert_numeric(floor_value * 0.5, ONE_TWO)
 
+    def test_refuses_ln_v_past_float_range(self):
+        # p would have to fall below 1e-300 to reach ln V = 1e308
+        with pytest.raises(ValueError, match="too large to invert"):
+            invert_numeric(1e308, ScalingModel.of("12"))
+
     def test_boundary_root(self):
         floor_value = critical_log_volume(ONE_TWO, e**-2)
         assert invert_numeric(floor_value, ONE_TWO) == pytest.approx(e**-2, rel=1e-12)
@@ -131,6 +136,10 @@ class TestBracketing:
             ln_v = critical_log_volume(ONE_TWO, p)
             assert ln_v >= 1.0 / p
             assert log(ln_v) >= log(1.0 / p)
+
+    def test_inf_when_ln_v_is_below_one_over_p(self):
+        # ln V = 0.01 ln^2(10) / 0.1 = 0.53, below 1/p = 10
+        assert bracketing_epsilon(0.1, ScalingModel.custom(0.01, 0.0)) == float("inf")
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,14 @@ class TestRect:
         with pytest.raises(ValueError):
             occupy_rect(cfg, Rect((-1, 0), (1, 1)))
 
+    def test_refuses_mismatched_or_empty_extents(self):
+        with pytest.raises(ValueError, match="corner and extents must have the same dimension"):
+            Rect((0, 0), (1,))
+        with pytest.raises(ValueError, match=r"extents must be positive, got \(1, 0\)"):
+            Rect((0, 0), (1, 0))
+        with pytest.raises(ValueError, match="rect dimension does not match grid dimension"):
+            Rect((0, 0), (1, 1)).check_within(GridSpec((4, 4, 4)))
+
     def test_3d_rect(self):
         cfg = empty_configuration(GridSpec((4, 4, 4)))
         out = occupy_rect(cfg, Rect((1, 1, 1), (2, 2, 2)))
@@ -195,6 +203,10 @@ class TestTextFormat:
             from_text("boundary: open\n01\n")
         with pytest.raises(ValueError):
             from_text("dims: 2 2\nboundary: open\n01\n")
+
+    def test_rejects_a_missing_boundary_line(self):
+        with pytest.raises(ValueError, match="expected a 'boundary: ...' header line"):
+            from_text("dims: 2 2\n01\n10\n")
 
 
 def _parse_outcome(parse, text):

@@ -416,6 +416,10 @@ class TestFillExact:
     def test_p_one(self):
         assert fill_probability_exact(STD2, GridSpec((2, 2)), 1.0) == pytest.approx(1.0)
 
+    def test_refuses_p_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got 1\.5"):
+            fill_probability_exact(STD2, GridSpec((2, 2)), 1.5)
+
     def test_refuses_large_grids(self):
         with pytest.raises(ValueError):
             fill_success_counts(STD2, GridSpec((5, 5)))

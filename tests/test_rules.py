@@ -103,6 +103,22 @@ class TestMakeRule:
             RuleFamily.modified(2)
         )
 
+    @pytest.mark.parametrize(
+        "kind, offsets, theta, message",
+        [
+            ("majority", ((1, 0),), 1, "rule kind must be threshold or modified"),
+            ("threshold", ((1, 0), (0, 1, 0)), 1, r"offset \(0, 1, 0\) does not match dimension"),
+            ("threshold", ((1, 0), (0, 0)), 1, "stencil offsets must be nonzero"),
+            ("threshold", ((1, 0), (0, 1), (1, 0)), 1, r"duplicate stencil offset \(1, 0\)"),
+            ("threshold", ((1, 0), (0, 1)), 0, r"theta 0 outside 1\.\.2"),
+            ("threshold", ((1, 0), (0, 1)), 3, r"theta 3 outside 1\.\.2"),
+        ],
+        ids=["kind", "offset_length", "zero_offset", "repeated_offset", "theta_0", "theta_3"],
+    )
+    def test_rule_refuses_a_malformed_stencil(self, kind, offsets, theta, message):
+        with pytest.raises(ValueError, match=message):
+            Rule(kind, 2, offsets, theta)
+
     def test_invalid_families(self):
         with pytest.raises(ValueError):
             RuleFamily.standard(4)
