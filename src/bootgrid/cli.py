@@ -239,12 +239,12 @@ def _fill_table(args, family: RuleFamily, rule: Rule, runs, dims):
 def _cmd_close(args):
     family = RuleFamily.parse(args.rule)
     rule = make_rule(family)
-    if args.infile == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.infile) as fp:
-            text = fp.read()
-    closed = closure_fast(from_text(text), rule)
+    # The text is dropped once parsed and the parsed cells once closed, so
+    # no stage holds more than three text-sized buffers.
+    with nullcontext(sys.stdin) if args.infile == "-" else open(args.infile) as fp:
+        config = from_text(fp.read())
+    closed = closure_fast(config, rule)
+    del config
     return {"rule": family.name, "in": args.infile}, None, to_text(closed)
 
 

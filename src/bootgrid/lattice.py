@@ -23,6 +23,15 @@ of increasing ``x``.  Blank and whitespace-only lines in the body are
 ignored; any other character in a row is an error.  On output every line
 ends with ``\\n``, and in 3-D one blank line separates consecutive
 z-blocks.
+
+Buffers, each about one byte per cell.  Beside the text it is given,
+:func:`from_text` holds the text's lines and one fixed-width byte array
+of the body rows; that array, shifted to 0/1 in place, becomes the cells,
+so the parse peaks at about two bytes per cell above its input.  Rows of
+the wrong count or length, or with a byte outside ``0``/``1``, are not
+converted: they are scanned one by one to name the first bad row.  Beside
+the cells, :func:`to_text` holds one byte buffer (header, digits and
+newlines) and the string decoded from it, also two bytes per cell.
 """
 
 from __future__ import annotations
@@ -198,15 +207,16 @@ def to_text(config: Configuration) -> str:
     """Render in the lattice text format (round-trip exact with :func:`from_text`)."""
     grid = config.grid
     lz, ly, lx = (1, 1, *grid.shape)[-3:]
-    # One byte row per z-block: its y-rows, each "0"/"1" bytes plus "\n",
-    # then one "\n" that is the blank line between blocks.  The last
-    # block's trailing "\n" is dropped.
-    buf = np.full((lz, ly * (lx + 1) + 1), ord("\n"), dtype=np.uint8)
-    digits = buf[:, :-1].reshape(lz, ly, lx + 1)[..., :lx]
-    digits[...] = config.cells.reshape(lz, ly, lx)
-    digits += ord("0")
     header = f"dims: {' '.join(str(d) for d in grid.dims)}\nboundary: {grid.boundary}\n"
-    return header + buf.reshape(-1)[:-1].tobytes().decode("ascii")
+    # One byte buffer: the header, then one run per z-block of its y-rows,
+    # each "0"/"1" bytes plus "\n", and one "\n" that is the blank line
+    # between blocks.  The last block's trailing "\n" is not decoded.
+    h, block = len(header), ly * (lx + 1) + 1
+    buf = np.full(h + lz * block, ord("\n"), dtype=np.uint8)
+    buf[:h] = np.frombuffer(header.encode("ascii"), dtype=np.uint8)
+    digits = buf[h:].reshape(lz, block)[:, :-1].reshape(lz, ly, lx + 1)[..., :lx]
+    np.add(config.cells.reshape(lz, ly, lx), np.uint8(ord("0")), out=digits)
+    return str(buf[:-1], "ascii")  # decoded from the buffer itself, no bytes copy
 
 
 def from_text(text: str) -> Configuration:
@@ -221,19 +231,25 @@ def from_text(text: str) -> Configuration:
     grid = GridSpec(dims, boundary)
 
     rows = [ln for ln in lines[2:] if ln.strip()]
-    # One range check over the whole body; rows are scanned only to name
-    # the first bad one.
-    try:
-        body = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    except UnicodeEncodeError:
-        body = None
-    if body is None or (body.size and (body.min() < ord("0") or body.max() > ord("1"))):
-        bad = next(ln for ln in rows if ln.strip("01"))
-        raise ValueError(f"invalid row characters in {bad!r}")
-
     lx = dims[0]
     ly = dims[1] if grid.ndim >= 2 else 1
     lz = dims[2] if grid.ndim == 3 else 1
-    if len(rows) != ly * lz or any(len(r) != lx for r in rows):
+    body = None
+    if len(rows) == ly * lz and all(len(r) == lx for r in rows):
+        # One fixed-width byte array of the rows, shifted in place so that
+        # one maximum range-checks it; it is the cells, viewed as booleans.
+        try:
+            body = np.array(rows, dtype=f"S{lx}").view(np.uint8)
+        except UnicodeEncodeError:
+            pass
+        else:
+            body -= ord("0")
+            if body.max() > 1:
+                body = None
+    if body is None:
+        # A bad character is reported before a body of the wrong shape.
+        bad = next((ln for ln in rows if ln.strip("01")), None)
+        if bad is not None:
+            raise ValueError(f"invalid row characters in {bad!r}")
         raise ValueError(f"body does not match dims {dims}")
-    return Configuration(grid, (body == ord("1")).reshape(grid.shape))
+    return Configuration(grid, body.view(bool).reshape(grid.shape))

@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 from datetime import datetime
 
 import pytest
@@ -17,6 +19,7 @@ from bootgrid import (
     to_text,
 )
 from bootgrid.cli import main
+from reference import ref_to_text
 
 
 def run_cli(capsys, *argv):
@@ -828,3 +831,106 @@ class TestCloseWriter:
                                "--out", str(dst))
         assert code == 1 and out == ""
         assert not dst.exists()
+
+
+def _after_manifest(output: str) -> str:
+    """Everything after the leading ``#`` manifest lines, byte for byte."""
+    lines = output.splitlines(keepends=True)
+    return "".join(lines[next(i for i, ln in enumerate(lines) if not ln.startswith("#")) :])
+
+
+_CLOSE_GRIDS = [
+    ("standard1", (23,), "open"),
+    ("standard1", (23,), "periodic"),
+    ("12", (9, 7), "open"),
+    ("12", (9, 7), "periodic"),
+    ("standard3", (4, 3, 5), "open"),
+    ("standard3", (4, 3, 5), "periodic"),
+]
+
+
+class TestCloseBytes:
+    """``close`` writes exactly the reference rendering of the naive closure,
+    byte for byte, on stdout and in ``--out``, whatever the input line ends."""
+
+    @pytest.mark.parametrize("rule,dims,boundary", _CLOSE_GRIDS)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_output_is_the_reference_rendering(
+        self, tmp_path, capsys, monkeypatch, rule, dims, boundary, newline, source
+    ):
+        cfg = random_configuration(GridSpec(dims, boundary), 0.3, Stream((*dims, 31)))
+        want = ref_to_text(closure_naive(cfg, make_rule(RuleFamily.parse(rule))))
+        text = ref_to_text(cfg).replace("\n", newline)
+        if source == "stdin":
+            infile = "-"
+        else:
+            infile = str(tmp_path / "in.txt")
+            with open(infile, "w", newline="") as fp:
+                fp.write(text)
+        dst = tmp_path / "out.txt"
+        for out in ([], ["--out", str(dst)]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, stdout, err = run_cli(capsys, "close", "--rule", rule, "--in", infile, *out)
+            assert (code, err) == (0, "")
+            written = dst.read_bytes().decode("ascii") if out else stdout
+            assert _after_manifest(written) == want
+
+    def test_real_process_crlf_stdin(self):
+        import subprocess
+        import sys
+
+        cfg = random_configuration(GridSpec((9, 7)), 0.3, Stream(31))
+        want = ref_to_text(closure_naive(cfg, make_rule(RuleFamily.one_two())))
+        result = subprocess.run(
+            [sys.executable, "-m", "bootgrid.cli", "close", "--rule", "12", "--in", "-"],
+            input=ref_to_text(cfg).replace("\n", "\r\n").encode("ascii"),
+            capture_output=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert _after_manifest(result.stdout.decode("ascii")) == want
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced bytes while ``fn()`` runs, above those traced when it
+    starts; tracemalloc also traces numpy's data buffers."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestCloseMemory:
+    """Traced peaks on a 2048^2 lattice, per byte of its text, above the live
+    input: the parse holds the text's rows and one byte array of them, the
+    render one byte buffer and the text decoded from it, and ``close`` at most
+    three text-sized buffers at a time."""
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        cfg = random_configuration(GridSpec((2048, 2048)), 0.05, Stream(2048))
+        return cfg, to_text(cfg)
+
+    def test_parse(self, lattice):
+        _, text = lattice
+        assert _traced_peak(lambda: from_text(text)) <= 2.5 * len(text)
+
+    def test_render(self, lattice):
+        cfg, text = lattice
+        assert _traced_peak(lambda: to_text(cfg)) <= 2.5 * len(text)
+
+    def test_close(self, lattice, tmp_path):
+        cfg, text = lattice
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(text)
+        argv = ["close", "--rule", "12", "--in", str(src), "--out", str(dst)]
+        assert _traced_peak(lambda: main(argv)) <= 4 * len(text)
+        assert from_text(dst.read_text()) == closure_fast(cfg, make_rule(RuleFamily.one_two()))

@@ -342,6 +342,38 @@ class TestTextFormatOracle:
         with pytest.raises(ValueError, match="body does not match dims"):
             from_text(text)
 
+    @pytest.mark.parametrize(
+        "body,bad",
+        [
+            ("010\n1x11\n", "1x11"),  # a wrong-length row that holds a bad character
+            ("010\n1\u00e9\n", "1\u00e9"),  # non-ASCII text in a short row
+            ("010\n11\x00\n", "11\x00"),  # a NUL byte ending a full-length row
+        ],
+    )
+    def test_bad_row_is_named_before_the_shape_is_checked(self, body, bad):
+        text = _ROWS_3x2 + body
+        _assert_parses_like_reference(text)
+        with pytest.raises(ValueError) as exc:
+            from_text(text)
+        assert str(exc.value) == f"invalid row characters in {bad!r}"
+
+    def test_one_valid_row_too_many(self):
+        text = _ROWS_3x2 + "010\n111\n000\n"
+        _assert_parses_like_reference(text)
+        with pytest.raises(ValueError, match=r"^body does not match dims \(3, 2\)$"):
+            from_text(text)
+
+    def test_cells_are_writable_and_borrow_nothing_from_the_text(self):
+        text = _ROWS_3x2 + "010\n111\n"
+        cells = from_text(text).cells
+        owner = cells
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.base is None  # numpy owns the data
+        cells[...] = ~cells
+        assert text == _ROWS_3x2 + "010\n111\n"
+        assert from_text(text).cells.tolist() == [[False, True, False], [True, True, True]]
+
     @given(
         st.text(alphabet="01 2\t\r\n\x0c#\u2028", max_size=40),
         st.sampled_from([_ROWS_3x2, _ROWS_2x2x2, "dims: 4\nboundary: open\n"]),
