@@ -32,6 +32,8 @@ the wrong count or length, or with a byte outside ``0``/``1``, are not
 converted: they are scanned one by one to name the first bad row.  Beside
 the cells, :func:`to_text` holds one byte buffer (header, digits and
 newlines) and the string decoded from it, also two bytes per cell.
+Since that array's item is one row, :func:`from_text` refuses a row of
+2^31 or more cells up front.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ import numpy as np
 from .rng import Stream
 
 MAX_CELLS = 1 << 40
+
+# The longest row from_text parses: its fixed-width byte array of rows has
+# an item size of one row, which numpy holds in a C int.
+_MAX_ROW = (1 << 31) - 1
 
 BOUNDARIES = ("open", "periodic")
 
@@ -229,6 +235,10 @@ def from_text(text: str) -> Configuration:
         raise ValueError("expected a 'boundary: ...' header line")
     boundary = lines[1][len("boundary:") :].strip()
     grid = GridSpec(dims, boundary)
+    if dims[0] > _MAX_ROW:
+        raise ValueError(
+            f"rows of {dims[0]} cells are too long to parse; a row holds at most {_MAX_ROW}"
+        )
 
     rows = [ln for ln in lines[2:] if ln.strip()]
     lx = dims[0]

@@ -42,11 +42,16 @@ bit-parallel kernel in two packings, and by a naive oracle:
   - ``closure_lanes`` packs configurations, one per bit lane (multispin
     coding), closing as many configurations per word as the word has
     bits.  Its planes are fixed slices of one flat array, so the calls are
-    built once and each step only runs them.  Each grid of words in a
-    batch settles on its own: once half of those still being stepped have
-    stopped changing, they are set aside and the rest are gathered into a
-    smaller array (and the calls built again for it), so a batch is not
-    stepped whole until its slowest grid settles.  ``closure_batch`` packs
+    built once and each step only runs them; a step then masks the rule's
+    words with one constant mask of the interior cells and ORs them in.
+    Each grid of words in a batch settles on its own: once half of those
+    still being stepped have stopped changing, they are set aside and the
+    rest are gathered into a smaller array (and the calls built again for
+    it), so a batch is not stepped whole until its slowest grid settles.
+    Whether a grid has stopped changing is checked on each of a closure's
+    first 16 steps, where most small grids settle, and then on every 4th
+    step, since a check costs more calls than the mask and the OR.
+    ``closure_batch`` packs
     a stack of boolean grids into lanes with ``pack_lanes`` (one transposed
     copy that puts the lanes of a cell side by side, then one ``packbits``
     along them) and unpacks the result, for the Monte Carlo trial blocks of
@@ -682,6 +687,14 @@ def unpack_lanes(words: np.ndarray, n: int) -> np.ndarray:
     return bits.view(bool).reshape((n,) + shape)
 
 
+# closure_lanes looks for settled entries on each of a closure's first
+# _CHECKED_STEPS steps, where most entries of a small grid settle, and then
+# on every _CHECK_EVERY-th step.  Besides the rule's calls, a step between
+# checks makes 2 calls, and a check 5 (6 on a periodic grid).
+_CHECKED_STEPS = 16
+_CHECK_EVERY = 4
+
+
 def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.ndarray:
     """Closure of as many configurations as a machine word has bits.
 
@@ -708,14 +721,29 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     coding), the calls :func:`_step_ops` gives for those planes, are built
     once per gather and a step only runs them.
 
+    A step ANDs the rule's words with one constant mask, built once and
+    tiled per entry: all ones on interior cells, zero on halo and padding.
+    Every entry has the same pattern, so a prefix of the mask serves the
+    entries left after a gather.  The masked words are ORed into the
+    entries; they may repeat occupied cells, which the OR leaves as they
+    are.
+
     An entry whose step occupies nothing new has settled: it is its own
-    closure.  Once at least half of the entries still being stepped have
-    settled, they are written to the result and the others are gathered
-    to the front of the flat array, so later steps skip the settled ones.
-    A gather moves at most half of the entries before it, so all gathers
-    together copy no more words than the input has.  The loop ends when
-    every entry has settled; a single entry ends at its first step that
-    occupies nothing new.
+    closure, and every later step leaves it as it is.  A check step
+    finds the settled entries: before the OR it also ANDs the rule's words
+    with the entries' empty interior cells, ``~entries & mask`` (on an
+    open grid, whose halo stays zero, ``entries ^ mask``; a periodic
+    grid's halo holds copies of occupied cells), and ORs each entry's new
+    cells together.  A closure checks on each of its first 16 steps, where
+    most entries of a small grid settle, and then on every 4th step, so
+    an entry may be stepped up to 3 times after it settles.  Once at
+    least half of the entries still being stepped have settled, they are
+    written to the result and the others are gathered to the front of
+    the flat array, so later steps skip the settled ones.  A gather moves
+    at most half of the entries before it, so all gathers together copy
+    no more words than the input has.  The loop ends when every entry has
+    settled; a single entry ends at the first check that finds it
+    settled.
     """
     d = rule.dimension
     if words.dtype.kind != "u" or words.ndim < d:
@@ -747,9 +775,10 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
     flat = np.zeros(live.size * size + 2 * margin, dtype=words.dtype)
     padded = flat[margin : margin + live.size * size].reshape((-1,) + padded_shape)
     padded[(...,) + inner] = entries
-    free = np.zeros_like(padded)  # empty interior cells
-    free[(...,) + inner] = ~entries
-    free = free.reshape(live.size, size)
+    # the step's mask (see above), one pattern tiled per entry
+    interior = np.zeros(padded_shape, dtype=words.dtype)
+    interior[inner] = np.iinfo(words.dtype).max
+    interior = np.tile(interior.reshape(-1), live.size)
     if periodic:
         # halo cell of an entry -> the interior cell it wraps to
         own = np.arange(size).reshape(padded_shape)
@@ -758,6 +787,7 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
         source = source[halo]
     result = np.empty(entries.shape, dtype=words.dtype)
     grown = np.empty(live.size, dtype=words.dtype)  # OR of each entry's step
+    steps = 0
     while True:
         count = live.size
         core = flat[margin : margin + count * size]
@@ -765,17 +795,31 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
         planes = [flat[margin + sh : margin + count * size + sh] for sh in shifts]
         pred, *spare = scratch[:, : count * size]
         ops = list(_step_ops(form, planes, weights, rule.theta, pred, spare))
-        open_cells = free[:count].reshape(-1)
+        # spare[0], the calls' temporary, is free once they have run
+        inside, empty = interior[: count * size], spare[0]
         rows, grew = pred.reshape(count, size), grown[:count]
         while True:
             if periodic:
                 grids[:, halo] = grids[:, source]
             for ufunc, a, b, into in ops:
                 ufunc(a, b, out=into)
-            pred &= open_cells
+            steps += 1
+            if steps > _CHECKED_STEPS and steps % _CHECK_EVERY:
+                pred &= inside
+                core |= pred
+                continue
+            # empty = the empty interior cells.  An open grid's halo stays
+            # zero, so there that is inside ^ core; a periodic grid's halo
+            # holds copies of occupied cells, which inside ^ core would count
+            # as newly occupied on every step, and no entry would settle.
+            if periodic:
+                np.bitwise_not(core, out=empty)
+                empty &= inside
+            else:
+                np.bitwise_xor(core, inside, out=empty)
+            pred &= empty
             np.bitwise_or.reduce(rows, axis=1, out=grew)
             core |= pred
-            open_cells ^= pred
             kept = np.count_nonzero(grew)
             if 2 * kept <= count:
                 break
@@ -785,7 +829,6 @@ def closure_lanes(words: np.ndarray, rule: Rule, periodic: bool = False) -> np.n
         if not kept:
             return result.reshape(words.shape)
         grids[:kept] = grids[moved]
-        free[:kept] = free[:count][moved]
         live = live[moved]
         flat[margin + kept * size : 2 * margin + kept * size] = 0  # fresh margin
 

@@ -303,6 +303,13 @@ class TestExitCodes:
         assert code == 2
         assert "--format" in err and out == ""
 
+    def test_close_refuses_rows_of_2_to_the_31_cells(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("dims: 2147483648\nboundary: open\n0\n")
+        code, out, err = run_cli(capsys, "close", "--rule", "standard1", "--in", str(src))
+        assert code == 1 and out == ""
+        assert "bootgrid: error: rows of 2147483648 cells are too long to parse" in err
+
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     def test_close_refuses_thread_count_not_positive(self, tmp_path, capsys, threads):
         src = tmp_path / "in.txt"

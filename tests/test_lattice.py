@@ -208,6 +208,17 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="expected a 'boundary: ...' header line"):
             from_text("dims: 2 2\n01\n10\n")
 
+    @pytest.mark.parametrize("dims", ["2147483648", "2147483648 1", "4294967296 2 1"])
+    def test_refuses_rows_of_2_to_the_31_cells_up_front(self, dims):
+        # numpy's fixed-width byte dtype of one row cannot hold such a row:
+        # this used to fail with "data type 'S2147483648' not understood".
+        with pytest.raises(ValueError, match=rf"rows of {dims.split()[0]} cells are too long"):
+            from_text(f"dims: {dims}\nboundary: open\n0\n")
+
+    def test_a_row_just_below_2_to_the_31_cells_is_not_refused_for_its_length(self):
+        with pytest.raises(ValueError, match="body does not match dims"):
+            from_text("dims: 2147483647\nboundary: open\n0\n")
+
 
 def _parse_outcome(parse, text):
     """The configuration ``parse`` returns, or the ValueError message it raises."""

@@ -29,6 +29,8 @@ from bootgrid import (
 )
 from bootgrid.montecarlo import _STREAM_DOMAIN
 from bootgrid.rules import (
+    _CHECK_EVERY,
+    _CHECKED_STEPS,
     _FAMILIES,
     _landing_offsets,
     _step_form,
@@ -686,6 +688,52 @@ class TestClosureLanesSettling:
             got = unpack_lanes(closed.reshape(words.shape), 64 * n)
             for lane, i in enumerate(picks):
                 assert np.array_equal(got[lane], want[i]), (lead, lane // 64, lane % 64)
+
+
+class TestClosureLanesCheckCadence:
+    """closure_lanes looks for settled entries on each of a closure's first
+    _CHECKED_STEPS steps and then only on every _CHECK_EVERY-th step.
+    Chains on grids of growing length give every closure length from 1 to
+    past the third check after step _CHECKED_STEPS, each closed as one
+    entry and beside entries that settle at step 1.  The chain's entry
+    also holds random configurations, which settle early but keep being
+    stepped between checks, where a step that let the rule occupy halo
+    cells of an open grid would change them."""
+
+    LAST = _CHECKED_STEPS + 3 * _CHECK_EVERY + 2
+
+    @pytest.mark.parametrize("name", TestClosureLanesSettling.FAMILIES)
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_every_length_alone_and_beside_entries_settled_at_step_one(self, name, boundary):
+        rule = make_rule(RuleFamily.parse(name))
+        root = Stream((zlib.crc32(f"cadence/{name}/{boundary}".encode()),))
+        lengths = set()
+        for n in range(2, 2 * self.LAST + 4):
+            grid, chain = chain_grid(rule, boundary, n)
+            occ = chain(0)
+            steps = naive_steps(grid, occ, rule)[1]
+            if steps > self.LAST or steps in lengths:
+                continue
+            lengths.add(steps)
+            # The full grid settles at step 1.  On a periodic grid its halo
+            # copies are occupied cells at the wrap edges, as are the
+            # chain's, so a settling test that read the halo as empty cells
+            # would never end.
+            starts = [occ, np.zeros_like(occ), np.ones_like(occ)]
+            starts += [random_configuration(grid, p, root.child(n).child(i)).cells
+                       for i, p in enumerate((0.1, 0.2, 0.35, 0.5))]
+            want = [closure_naive(Configuration(grid, cells), rule).cells for cells in starts]
+            # one entry of 16 lanes, and five entries of 64 equal lanes:
+            # empty, full, the chain, full, empty
+            alone = [0, 1, 0, 2, 3, 4, 5, 6] * 2
+            batch = [k for k in (1, 2, 0, 2, 1) for _ in range(64)]
+            for picks, lead in [(alone, ()), (batch, (5,))]:
+                words = pack_lanes(np.stack([starts[k] for k in picks]))
+                closed = closure_lanes(words.reshape(lead + grid.shape), rule, grid.periodic)
+                got = unpack_lanes(closed.reshape(words.shape), len(picks))
+                for lane, k in enumerate(picks):
+                    assert np.array_equal(got[lane], want[k]), (steps, lead, lane)
+        assert lengths == set(range(1, self.LAST + 1))
 
 
 class TestWideStencils:
