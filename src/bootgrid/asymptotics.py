@@ -8,8 +8,10 @@ log of the product of stage probabilities has the closed form
 
 and the critical volume is its inverse: ln V_c = -(log nucleation
 probability), i.e. ln V_c = (C/p) ln^2(1/p) + (C'/p) ln(1/p) with
-C = 1/6 and C' = (1/3) ln(3e/8) for the (1,2) rule.  Everything here is
-a pure function of its arguments.
+C = 1/6 and C' = (1/3) ln(3e/8) for the (1,2) rule.  That C is the sharp
+constant of Duminil-Copin & van Enter, Ann. Probab. 41 (2013): on the n x n
+grid p_c ~ (ln ln n)^2 / (12 ln n), which is C ln^2 ln V / ln V at V = n^2.
+Everything here is a pure function of its arguments.
 
 The stage factor (8p/(3e)) exp(3np) equals 8 x p^2 / e exactly at the
 width x = exp(3np)/(3p).  Under rule ``12``, 8 x p^2 leads the chance
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, e, floor, log
+from math import ceil, e, floor, inf, isfinite, log
 
 from .rules import RuleFamily
 
@@ -71,6 +73,8 @@ class ScalingModel:
     def __post_init__(self):
         if not self.C > 0.0:
             raise ValueError(f"leading coefficient C must be positive, got {self.C}")
+        if not (isfinite(self.C) and isfinite(self.Cprime)):
+            raise ValueError(f"C and C' must be finite, got {self.C} and {self.Cprime}")
 
     @staticmethod
     def of(family: RuleFamily | str) -> "ScalingModel":
@@ -192,6 +196,19 @@ def anisotropic_constant(b: int) -> Fraction:
     return Fraction((b - 1) ** 2, 2 * (b + 1))
 
 
+def _check_ln_v(ln_v: float, least: float = e, need: str = "need ln V > e") -> None:
+    """Refuse an ln V at or below ``least`` (saying ``need``) or infinite."""
+    if not ln_v > least:
+        raise ValueError(f"{need}, got {ln_v}")
+    if ln_v == inf:
+        raise ValueError(f"ln V must be finite, got {ln_v}")
+
+
+def _is_prefactor(prefactor: float) -> bool:
+    """Whether ``prefactor`` may scale a window: positive and finite."""
+    return 0.0 < prefactor < inf
+
+
 # Leading-order p_c(V) of the standard families, from C and ln V.
 _STANDARD_LAWS = {
     RuleFamily.standard(2): lambda c, ln_v: c / ln_v,
@@ -208,8 +225,7 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
     supplied C must be positive, as a model's is.
     """
     spelled = _as_family(family)
-    if not ln_v > e:
-        raise ValueError(f"need ln V > e, got {ln_v}")
+    _check_ln_v(ln_v)
     standard_law = _STANDARD_LAWS.get(_same_rule(spelled))
     if standard_law is not None:
         if C is None:
@@ -224,11 +240,12 @@ def epsilon_window(family: RuleFamily | str, ln_v: float, prefactor: float = 1.0
     """Order-of-magnitude width of the statistical threshold window.
 
     standard d=2: ln ln V / ln^2 V.  (1,2): ln^3 ln V / ln^2 V.  The
-    prefactor is an unpinned order constant, default 1.
+    prefactor is an unpinned order constant, positive and finite, default 1.
     """
     spelled = _as_family(family)
-    if not ln_v > e:
-        raise ValueError(f"need ln V > e, got {ln_v}")
+    _check_ln_v(ln_v)
+    if not _is_prefactor(prefactor):
+        raise ValueError(f"prefactor must be positive and finite, got {prefactor}")
     fam = _same_rule(spelled)
     if fam == RuleFamily.standard(2):
         return prefactor * log(ln_v) / ln_v**2

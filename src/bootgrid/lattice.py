@@ -178,10 +178,16 @@ def random_configuration(grid: GridSpec, p: float, stream: Stream) -> Configurat
     ``p``, so two draws from the same stream at p1 < p2 are coupled: the
     p1 configuration is a subset of the p2 one.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_p(p)
     u = stream.uniforms(grid.cells)
     return Configuration(grid, (u < p).reshape(grid.shape))
+
+
+def _check_p(p: float) -> float:
+    """``p``, if it lies in [0, 1]: the one check of a probability."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    return p
 
 
 def occupy_rect(config: Configuration, rect: Rect) -> Configuration:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Configuration, GridSpec
+from .lattice import Configuration, GridSpec, _check_p
 from .rng import Stream
 from .rules import (
     Rule,
@@ -56,6 +56,12 @@ EXACT_MAX_CELLS = 20
 _BLOCK = 1 << 15
 
 
+def _check_trials(trials: int) -> None:
+    """Refuse a trial count below one: the one check of a trial count."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class Estimate:
     """A Monte Carlo mean with its standard error and provenance."""
@@ -66,8 +72,7 @@ class Estimate:
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"an estimate needs at least one trial, got {self.trials}")
+        _check_trials(self.trials)
         if self.stderr < 0.0:
             raise ValueError(f"stderr must be nonnegative, got {self.stderr}")
 
@@ -133,14 +138,10 @@ def sample_estimate(
     ``cells`` and ``trials`` alone, so a run has the same blocks at any
     ``threads``; with ``threads > 1`` they are counted on a thread pool.
     """
-    ps = list(ps)
-    for p in ps:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+    ps = [_check_p(p) for p in ps]
     if not ps:
         raise ValueError("ps must hold at least one p")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     distinct = sorted(set(ps))
     root = Stream((seed, domain))
     chunk = _chunk_size(cells, trials)
@@ -333,8 +334,7 @@ def _subset_words(words: np.ndarray, m: int) -> np.ndarray:
 
 def fill_probability_exact(rule: Rule, grid: GridSpec, p: float) -> float:
     """Exact fill probability: sum over filling subsets of p^k (1-p)^(n-k)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_p(p)
     counts = fill_success_counts(rule, grid)
     n = grid.cells
     total = 0.0

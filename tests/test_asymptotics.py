@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import e, exp, floor, fsum, log
+from math import e, exp, floor, fsum, inf, log, nan
 
 import numpy as np
 import pytest
@@ -144,6 +144,13 @@ class TestScalingModel:
         with pytest.raises(ValueError):
             ScalingModel.one_b(1)
 
+    @pytest.mark.parametrize(
+        "c, cprime", [(inf, 0.0), (1.0, nan), (1.0, inf), (1.0, -inf), (nan, 0.0)]
+    )
+    def test_non_finite_coefficients_refused(self, c, cprime):
+        with pytest.raises(ValueError):
+            ScalingModel.custom(c, cprime)
+
     def test_one_b3(self):
         assert ScalingModel.one_b(3).C == pytest.approx(0.5)
 
@@ -193,6 +200,17 @@ class TestLeadingPc:
         with pytest.raises(ValueError):
             leading_pc(RuleFamily.one_two(), 2.0)
 
+    @pytest.mark.parametrize("name", ["12", "standard2"])
+    @pytest.mark.parametrize("ln_v", [inf, nan])
+    def test_refuses_ln_v_not_finite(self, name, ln_v):
+        with pytest.raises(ValueError, match="ln V"):
+            leading_pc(name, ln_v, C=1.0)
+
+    @pytest.mark.parametrize("c", [inf, nan])
+    def test_supplied_constant_must_be_finite(self, c):
+        with pytest.raises(ValueError):
+            leading_pc("12", 1e6, C=c)
+
     @pytest.mark.parametrize("name", ["12", "1b:3", "standard2", "standard3"])
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_supplied_constant_must_be_positive(self, name, c):
@@ -241,6 +259,17 @@ class TestEpsilonWindow:
     def test_refuses_ln_v_at_most_e(self):
         with pytest.raises(ValueError, match=r"need ln V > e, got 2\.0"):
             epsilon_window("12", 2.0)
+
+    @pytest.mark.parametrize("ln_v", [inf, nan])
+    def test_refuses_ln_v_not_finite(self, ln_v):
+        with pytest.raises(ValueError, match="ln V"):
+            epsilon_window("12", ln_v)
+
+    @pytest.mark.parametrize("prefactor", [-1.0, 0.0, -0.0, inf, nan])
+    def test_refuses_prefactor_not_positive_and_finite(self, prefactor):
+        # -1.0 used to give a negative width, -0.0098 at ln V = 100
+        with pytest.raises(ValueError, match="prefactor must be positive and finite"):
+            epsilon_window("12", 100.0, prefactor=prefactor)
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-from math import e, exp, log
+from math import e, exp, inf, log, nan
 
 import numpy as np
 import pytest
@@ -95,6 +95,11 @@ class TestPcExpansion:
         with pytest.raises(ValueError):
             pc_expansion(10.0, ONE_TWO)  # e^e is about 15.15
 
+    @pytest.mark.parametrize("ln_v", [inf, nan])
+    def test_refuses_ln_v_not_finite(self, ln_v):
+        with pytest.raises(ValueError, match="ln V"):
+            pc_expansion(ln_v, ONE_TWO)
+
 
 class TestExpansionResidual:
     GRID = (1e4, 1e6, 1e8, 1e12)
@@ -144,3 +149,24 @@ class TestBracketing:
     def test_domain(self):
         with pytest.raises(ValueError):
             bracketing_epsilon(0.5, ONE_TWO)
+
+    def test_first_lower_bound_decides_every_inf(self):
+        # The chains' three epsilon-free lower bounds: the second and third
+        # are logarithms of the first, so on random (p, C, C') they never
+        # fail while it holds, and the first alone decides every inf.
+        rng = np.random.default_rng(24)
+        infinite = 0
+        for p, c, cprime in zip(
+            np.exp(rng.uniform(log(1e-12), -2.0, 20000)),
+            np.exp(rng.uniform(log(1e-4), log(10.0), 20000)),
+            rng.uniform(-3.0, 3.0, 20000),
+        ):
+            model = ScalingModel.custom(float(c), float(cprime))
+            ln_v = critical_log_volume(model, float(p))
+            first = ln_v >= 1.0 / p
+            if first:
+                assert log(ln_v) >= log(1.0 / p)
+                assert log(log(ln_v)) >= log(log(1.0 / p))
+            assert (bracketing_epsilon(float(p), model) == inf) == (not first)
+            infinite += not first
+        assert 0 < infinite < 20000

@@ -21,6 +21,7 @@ from bootgrid import (
 )
 from bootgrid import GrowthEventSpec, estimate_growth_mc
 from bootgrid.montecarlo import (
+    _BLOCK,
     _STREAM_DOMAIN,
     draw_occupancy,
     sample_estimate,
@@ -449,6 +450,53 @@ class TestFillExact:
         # modified on 2x2 open: an empty cell needs occupied neighbours on
         # both axes, i.e. both orthogonal cells; same subsets fill as standard2
         assert fill_success_counts(rule, grid).tolist() == [0, 0, 2, 4, 1]
+
+
+def strip_fill(n, p):
+    """Fill probability of an open n x 1 strip under standard2: it fills
+    exactly when both end cells are occupied and no two neighbours are
+    empty.  a and b weigh such runs of the first k cells that end in an
+    occupied and in an empty cell."""
+    a, b = p, 0.0
+    for _ in range(n - 1):
+        a, b = p * (a + b), (1 - p) * a
+    return a
+
+
+def ring_fill(n, p):
+    """Fill probability of a periodic ring of n >= 3 cells (an n x 1 grid)
+    under standard2: no two neighbours empty, trace(M^n) with M = [[p, 1-p],
+    [p, 0]] the weights of the next cell's state after an occupied and after
+    an empty cell."""
+    m = [[1.0, 0.0], [0.0, 1.0]]
+    for _ in range(n):
+        m = [[(row[0] + row[1]) * p, row[0] * (1 - p)] for row in m]
+    return m[0][0] + m[1][1]
+
+
+class TestLongStripsAgainstClosedForms:
+    """Monte Carlo fill values against exact ones on both sides of _BLOCK
+    cells, where the lane kernel gives way to per-trial closure_fast."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_closed_forms_match_the_enumeration(self, p):
+        for n in range(1, 15):
+            got = fill_probability_exact(STD2, GridSpec((n, 1)), p)
+            assert strip_fill(n, p) == pytest.approx(got, rel=1e-12, abs=1e-300)
+        for n in range(3, 15):
+            got = fill_probability_exact(STD2, GridSpec((n, 1), "periodic"), p)
+            assert ring_fill(n, p) == pytest.approx(got, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize(
+        "n, p", [(20000, 0.9941), (40000, 0.99584)], ids=["lanes", "per-trial"]
+    )
+    @pytest.mark.parametrize(
+        "boundary, exact", [("open", strip_fill), ("periodic", ring_fill)], ids=["strip", "ring"]
+    )
+    def test_rows_within_5_stderr(self, n, p, boundary, exact):
+        assert (n <= _BLOCK) is (n == 20000)  # one case on each path
+        (est,) = fill_probability(STD2, GridSpec((n, 1), boundary), [p], 2000, seed=0)
+        assert abs(est.mean - exact(n, p)) <= 5 * est.stderr
 
 
 def subset_counts_by_naive(rule, grid, free, target):
