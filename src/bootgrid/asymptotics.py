@@ -92,14 +92,6 @@ class ScalingModel:
         )
 
     @staticmethod
-    def one_two() -> "ScalingModel":
-        return ScalingModel.of(RuleFamily.one_two())
-
-    @staticmethod
-    def one_b(b: int) -> "ScalingModel":
-        return ScalingModel.of(RuleFamily.one_b(b))
-
-    @staticmethod
     def custom(c: float, cprime: float) -> "ScalingModel":
         return ScalingModel("custom", c, cprime)
 
@@ -141,11 +133,6 @@ def _check_small_p(p: float) -> float:
     return log(1.0 / p)
 
 
-def final_stage(p: float) -> int:
-    """Last stage height of the growth strategy, floor((1/(3p)) ln(1/p))."""
-    return strategy_range(p).n_hi
-
-
 def nucleation_log_prob_sum(p: float, n_lo: int = 1, n_hi: int | None = None) -> float:
     """Log of prod_{n=n_lo}^{n_hi} (8p/(3e)) exp(3np), by the arithmetic-series
     identity: each stage contributes ln(8p/(3e)) + 3np.
@@ -158,7 +145,7 @@ def nucleation_log_prob_sum(p: float, n_lo: int = 1, n_hi: int | None = None) ->
     """
     _check_small_p(p)
     if n_hi is None:
-        n_hi = final_stage(p)
+        n_hi = strategy_range(p).n_hi
     if n_lo > n_hi:
         raise ValueError(f"empty stage range [{n_lo}, {n_hi}] at p = {p}")
     count = n_hi - n_lo + 1
@@ -170,7 +157,7 @@ def nucleation_closed_terms(p: float) -> tuple[float, float]:
     """The two displayed terms of the closed form, (leading, second)."""
     ln_inv = _check_small_p(p)
     leading = -(ln_inv**2) / (6.0 * p)
-    second = log(8.0 / (3.0 * e)) / 3.0 * ln_inv / p
+    second = -ONE_TWO_CPRIME * ln_inv / p
     return leading, second
 
 
@@ -236,19 +223,26 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
     return c * log(ln_v) ** 2 / ln_v
 
 
+# Threshold-window widths from the prefactor and ln V, keyed by the family
+# whose rule the laws describe; a family absent here has no window law.
+_WINDOW_LAWS = {
+    RuleFamily.standard(2): lambda f, ln_v: f * log(ln_v) / ln_v**2,
+    RuleFamily.one_b(2): lambda f, ln_v: f * log(ln_v) ** 3 / ln_v**2,
+}
+
+
 def epsilon_window(family: RuleFamily | str, ln_v: float, prefactor: float = 1.0) -> float:
     """Order-of-magnitude width of the statistical threshold window.
 
     standard d=2: ln ln V / ln^2 V.  (1,2): ln^3 ln V / ln^2 V.  The
     prefactor is an unpinned order constant, positive and finite, default 1.
+    A family whose rule has no window law is refused.
     """
     spelled = _as_family(family)
     _check_ln_v(ln_v)
     if not _is_prefactor(prefactor):
         raise ValueError(f"prefactor must be positive and finite, got {prefactor}")
-    fam = _same_rule(spelled)
-    if fam == RuleFamily.standard(2):
-        return prefactor * log(ln_v) / ln_v**2
-    if fam == RuleFamily.one_b(2):
-        return prefactor * log(ln_v) ** 3 / ln_v**2
-    raise ValueError(f"no window law for family {spelled.name!r}")
+    law = _WINDOW_LAWS.get(_same_rule(spelled))
+    if law is None:
+        raise ValueError(f"no window law for family {spelled.name!r}")
+    return law(prefactor, ln_v)

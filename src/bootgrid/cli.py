@@ -47,8 +47,10 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .asymptotics import (
+    _WINDOW_LAWS,
     ScalingModel,
     _is_prefactor,
+    _same_rule,
     epsilon_window,
     leading_pc,
     nucleation_closed_terms,
@@ -305,13 +307,11 @@ def _cmd_nucleation(args):
 
 def _cmd_scaling(args):
     family = RuleFamily.parse(args.family)
+    has_window = _same_rule(family) in _WINDOW_LAWS
     rows = []
     for ln_v in _float_list(args.lnv):
         pc = leading_pc(family, ln_v, C=args.C)
-        try:
-            window = epsilon_window(family, ln_v, prefactor=args.prefactor)
-        except ValueError:
-            window = ""
+        window = epsilon_window(family, ln_v, args.prefactor) if has_window else ""
         rows.append((family.name, ln_v, pc, window))
     params = {"family": family.name, "lnv": args.lnv, "C": args.C, "prefactor": args.prefactor}
     return params, ["family", "lnv", "pc_leading", "window"], rows
@@ -323,7 +323,7 @@ def _cmd_invert(args):
     for ln_v in _float_list(args.lnv):
         p_numeric = invert_numeric(ln_v, model)
         terms = pc_expansion(ln_v, model)
-        residual = expansion_residual(ln_v, model)
+        residual = expansion_residual(ln_v, p_numeric, terms)
         rows.append((ln_v, p_numeric, terms.term1, terms.term2, terms.term3, terms.total, residual))
     params = {"lnv": args.lnv, "family": args.family, "C": args.C, "Cprime": _cprime(args)}
     return params, ["lnv", "p_numeric", "term1", "term2", "term3", "total", "residual"], rows

@@ -60,6 +60,9 @@ At each p a block's helpers are packed into lane words
 :func:`bootgrid.montecarlo.held_hits`, the rectangle cells held as
 all-ones words, as the enumeration closes its subsets; a trial's hit is
 the AND of its lane over the targets, counted in the words.
+
+:func:`horizontal_step_probability` gives the per-stage horizontal growth
+probability of columns absorbed only by their own helpers.
 """
 
 from __future__ import annotations
@@ -107,8 +110,9 @@ class _Section(NamedTuple):
 # Counting costs little at any size (growth_success_counts).  max_size only
 # bounds the error of GrowthPolynomial.evaluate, whose monomial expansion
 # cancels in floating point at every size: at most 6.1e-11 below the caps for
-# p = 0.001 ... 0.999, but 1.8e-10 at north_rows 13.  Lifting them waits for a
-# stable evaluation, whose new last digits need the benchmark's digests renewed.
+# p = 0.001 ... 0.999, but 1.8e-10 at north_rows 13, and near p = 1 a value
+# can read above 1.  Lifting them waits for a stable evaluation, whose new
+# last digits need the benchmark's digests renewed.
 _SECTIONS = {
     "north_rows": _Section(
         axis=0, depth=3, held=(0,), helpers=(1, 2), targets=(1,), max_size=12
@@ -133,12 +137,8 @@ class GrowthEventSpec:
             raise ValueError(f"size must be >= 1, got {self.size}")
 
     @property
-    def helper_depth(self) -> int:
-        return len(_SECTIONS[self.direction].helpers)
-
-    @property
     def helper_cells(self) -> int:
-        return self.size * self.helper_depth
+        return self.size * len(_SECTIONS[self.direction].helpers)
 
     def layout(self) -> tuple[GridSpec, np.ndarray, np.ndarray]:
         """The event as ``(grid, helpers, targets)`` for rule ``12``.
@@ -153,15 +153,14 @@ class GrowthEventSpec:
         helper ``h`` at column 2, row ``h``, the targets all helpers.
         """
         section, n = _SECTIONS[self.direction], self.size
-        if section.axis == 0:
-            dims, along, across = (n, section.depth), 1, n  # flat strides
-        else:
-            dims, along, across = (section.depth, n), section.depth, 1
+        grid = GridSpec((n, section.depth) if section.axis == 0 else (section.depth, n))
+        flat = np.arange(grid.cells).reshape(grid.shape)  # [y, x]
+        across_along = flat if section.axis == 0 else flat.T
 
         def cells(coords):
-            return np.array([k * across + i * along for k in coords for i in range(n)])
+            return across_along[list(coords)].ravel()
 
-        return GridSpec(dims), cells(section.helpers), cells(section.targets)
+        return grid, cells(section.helpers), cells(section.targets)
 
 
 @dataclass(frozen=True)

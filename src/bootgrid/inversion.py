@@ -85,11 +85,10 @@ def pc_expansion(ln_v: float, model: ScalingModel) -> ExpansionTerms:
     return ExpansionTerms(term1=term1, term2=term2, term3=term3, total=total)
 
 
-def expansion_residual(ln_v: float, model: ScalingModel) -> float:
-    """(invert_numeric - expansion total) * ln V / ln^2 ln ln V: the
-    remainder normalised by its claimed order."""
-    exact = invert_numeric(ln_v, model)
-    terms = pc_expansion(ln_v, model)
+def expansion_residual(ln_v: float, exact: float, terms: ExpansionTerms) -> float:
+    """(exact - terms.total) * ln V / ln^2 ln ln V: the remainder of the
+    expansion ``terms`` at ``ln_v`` normalised by its claimed order, with
+    ``exact`` the root ``invert_numeric`` gives there."""
     lll = log(log(ln_v))
     return (exact - terms.total) * ln_v / (lll * lll)
 

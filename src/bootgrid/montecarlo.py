@@ -23,6 +23,14 @@ memory does not grow with the number of p values, and the block's
 occupancy at each p is read off that count.  Each estimate is the one a
 run with that p alone gives, bit for bit.
 
+A grid of at most ``_BLOCK`` (2^15) cells is closed on the lane kernel
+in blocks of whole 64-trial words, split evenly over the fewest blocks
+that hold the run; a fill estimate on a larger grid closes one trial a
+block with ``closure_fast``, on one thread, since that kernel holds the
+GIL.  Exact fill probabilities of tiny grids come from subset enumeration
+on the lane kernel (:func:`subset_success_counts`), counted by popcount,
+which skips each 64-subset word whose hits its sub-words already decide.
+
 The threshold p_c(L) is located by bisection on p of the coupled fill
 curve, which is a nondecreasing step function once the seed is fixed.
 """
@@ -273,7 +281,7 @@ def subset_success_counts(
     # 512 of east_column 20's 16384 words, more than it closes in all).  The
     # word count is a power of two too, so the first block and the doubling
     # ranges after it tile the 2^m subsets exactly.
-    block = min(words, 1 << max(0, ((1 << 14) // grid.cells).bit_length() - 1))
+    block = min(words, 1 << max(0, (_BLOCK // 2 // grid.cells).bit_length() - 1))
     # With m < 6 free cells word 0 is the only word and only its lanes below
     # 2^m are subsets; the others repeat them and must not be counted.
     lanes = min(1 << m, 64)

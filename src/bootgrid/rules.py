@@ -5,8 +5,8 @@ keyed by kind: standard<d> and modified<d> (d in 1..3), 12, 1b:<b>,
 duarte and abc:<a>,<b>,<c>.  A row gives the start of the family's CLI
 name, its parameter count and range, and the builder of its stencil.
 :class:`RuleFamily` reads it to check parameters and to spell the name,
-:meth:`RuleFamily.parse` accepts exactly the names it spells, and
-:func:`make_rule` calls the builder.
+:meth:`RuleFamily.parse` accepts exactly the names it spells (surrounding
+whitespace aside), and :func:`make_rule` calls the builder.
 
 Two rule kinds cover every supported family:
 
@@ -16,7 +16,8 @@ Two rule kinds cover every supported family:
   for two offsets to wrap onto the same cell.
 * ``modified`` - an empty cell becomes occupied when every lattice axis
   has at least one occupied neighbour at distance one.  This is a
-  conjunction per axis and is deliberately not encoded as a threshold.
+  conjunction per axis and is deliberately not encoded as a threshold;
+  its offsets must be the unit vectors, +1 then -1 on each axis.
 
 The closure (the fixed point of repeated stepping) is computed by one
 bit-parallel kernel in two packings, and by a naive oracle:

@@ -214,7 +214,7 @@ def test_criterion_07_stage_product_leading_constant():
 def test_criterion_08_inversion_round_trip():
     start = time.monotonic()
     worst = 0.0
-    for model in (ScalingModel.one_two(), ScalingModel.custom(1.0, 0.0)):
+    for model in (ScalingModel.of("12"), ScalingModel.custom(1.0, 0.0)):
         for p in np.logspace(-8, -2, 50):
             got = invert_numeric(critical_log_volume(model, p), model)
             worst = max(worst, abs(got - p) / p)
@@ -228,7 +228,7 @@ def test_criterion_08_inversion_round_trip():
 
 
 def test_criterion_09_expansion_consistency():
-    model = ScalingModel.one_two()
+    model = ScalingModel.of("12")
     grid_v = (1e4, 1e6, 1e8, 1e12)
     rel = []
     for ln_v in grid_v:
@@ -247,7 +247,7 @@ def test_criterion_09_expansion_consistency():
 
 
 def test_criterion_10_bracketing_chains():
-    model = ScalingModel.one_two()
+    model = ScalingModel.of("12")
     eps = [bracketing_epsilon(p, model) for p in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)]
     finite = all(np.isfinite(eps))
     decreasing = all(b < a for a, b in zip(eps, eps[1:]))

@@ -17,7 +17,7 @@ from bootgrid import (
     nucleation_log_prob_sum,
     strategy_range,
 )
-from bootgrid.asymptotics import ONE_TWO_CPRIME, final_stage
+from bootgrid.asymptotics import ONE_TWO_CPRIME
 
 
 def loop_log_prob(p: float, n_hi: int) -> float:
@@ -57,7 +57,7 @@ class TestNucleationSum:
 
     def test_matches_loop_oracle(self):
         p = 1e-6
-        n_hi = final_stage(p)
+        n_hi = strategy_range(p).n_hi
         assert n_hi <= 10**7
         got = nucleation_log_prob_sum(p)
         want = loop_log_prob(p, n_hi)
@@ -112,20 +112,20 @@ class TestCriticalLogVolume:
         assert critical_log_volume(model, exp(-10.0)) == pytest.approx(100.0 * exp(10.0), rel=1e-12)
 
     def test_is_negated_closed_form_for_one_two(self):
-        model = ScalingModel.one_two()
+        model = ScalingModel.of("12")
         for p in (1e-3, 1e-5, 1e-9):
             assert critical_log_volume(model, p) == pytest.approx(
                 -nucleation_log_prob_closed(p), rel=1e-13
             )
 
     def test_strictly_decreasing_in_p(self):
-        model = ScalingModel.one_two()
+        model = ScalingModel.of("12")
         ps = np.logspace(-10, np.log10(e**-2), 200)
         values = [critical_log_volume(model, p) for p in ps]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_domain(self):
-        model = ScalingModel.one_two()
+        model = ScalingModel.of("12")
         with pytest.raises(ValueError):
             critical_log_volume(model, 0.2)
         with pytest.raises(ValueError):
@@ -134,7 +134,7 @@ class TestCriticalLogVolume:
 
 class TestScalingModel:
     def test_one_two_coefficients(self):
-        m = ScalingModel.one_two()
+        m = ScalingModel.of("12")
         assert m.C == pytest.approx(1 / 6)
         assert m.Cprime == pytest.approx(log(3 * e / 8) / 3)
 
@@ -142,7 +142,7 @@ class TestScalingModel:
         with pytest.raises(ValueError):
             ScalingModel.custom(0.0, 0.1)
         with pytest.raises(ValueError):
-            ScalingModel.one_b(1)
+            ScalingModel.of("1b:1")
 
     @pytest.mark.parametrize(
         "c, cprime", [(inf, 0.0), (1.0, nan), (1.0, inf), (1.0, -inf), (nan, 0.0)]
@@ -152,7 +152,7 @@ class TestScalingModel:
             ScalingModel.custom(c, cprime)
 
     def test_one_b3(self):
-        assert ScalingModel.one_b(3).C == pytest.approx(0.5)
+        assert ScalingModel.of("1b:3").C == pytest.approx(0.5)
 
     def test_one_two_leading_constant_is_one_sixth(self):
         # The double that the (1,2) rows have always been computed with.
@@ -321,9 +321,9 @@ class TestOneRuleOneSetOfLaws:
 class TestFinalStage:
     @pytest.mark.parametrize("p", [1e-2, 1e-4, 1e-6, 1e-10, 0.3])
     def test_floor_of_nf(self, p):
-        assert final_stage(p) == floor(log(1.0 / p) / (3.0 * p))
+        assert strategy_range(p).n_hi == floor(log(1.0 / p) / (3.0 * p))
 
     @pytest.mark.parametrize("p", [0.0, 1.0 / e, 0.5])
     def test_domain(self, p):
         with pytest.raises(ValueError):
-            final_stage(p)
+            strategy_range(p).n_hi

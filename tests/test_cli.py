@@ -2,19 +2,23 @@ import io
 import json
 import tracemalloc
 from datetime import datetime
+from math import log
 
 import pytest
 
 from bootgrid import (
     GridSpec,
     RuleFamily,
+    ScalingModel,
     Stream,
     closure_fast,
     closure_naive,
     derive_seed,
     fill_probability,
     from_text,
+    invert_numeric,
     make_rule,
+    pc_expansion,
     random_configuration,
     to_text,
 )
@@ -235,6 +239,50 @@ class TestTables:
                                "--p", "0.4", "--trials", "100", "--seed", "0")
         assert code == 0
         assert "6x3" in data_lines(out)[1]
+
+
+def recomputed_residual(ln_v, model):
+    """The residual with the root and the terms evaluated again: the three
+    calls an invert row once made, the oracle of its bytes."""
+    exact = invert_numeric(ln_v, model)
+    terms = pc_expansion(ln_v, model)
+    lll = log(log(ln_v))
+    return (exact - terms.total) * ln_v / (lll * lll)
+
+
+class TestInvertEvaluatesEachRowOnce:
+    LNV = (16.0, 30.0, 1e3, 1e6, 1e8, 1e12, 1e16)
+
+    @pytest.mark.parametrize(
+        "flags, model",
+        [
+            (("--family", "12"), ScalingModel.of("12")),
+            (("--family", "1b:3"), ScalingModel.of("1b:3")),
+            (("--C", "0.2", "--Cprime", "-0.1"), ScalingModel.custom(0.2, -0.1)),
+        ],
+        ids=["12", "1b:3", "custom"],
+    )
+    def test_one_root_a_row_and_unchanged_rows(self, monkeypatch, capsys, flags, model):
+        calls = []
+
+        def counted(ln_v, used):
+            calls.append(ln_v)
+            return invert_numeric(ln_v, used)
+
+        # Both names, so a root found inside the inversion module counts too.
+        monkeypatch.setattr("bootgrid.cli.invert_numeric", counted)
+        monkeypatch.setattr("bootgrid.inversion.invert_numeric", counted)
+        lnv = ",".join(repr(v) for v in self.LNV)
+        code, out, _ = run_cli(capsys, "invert", *flags, "--lnv", lnv)
+        assert code == 0
+        assert calls == list(self.LNV)
+        want = []
+        for ln_v in self.LNV:
+            terms = pc_expansion(ln_v, model)
+            row = (ln_v, invert_numeric(ln_v, model), terms.term1, terms.term2, terms.term3,
+                   terms.total, recomputed_residual(ln_v, model))
+            want.append(",".join(repr(v) for v in row))
+        assert data_lines(out)[1:] == want
 
 
 class TestExitCodes:

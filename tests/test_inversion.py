@@ -13,7 +13,7 @@ from bootgrid import (
     pc_expansion,
 )
 
-ONE_TWO = ScalingModel.one_two()
+ONE_TWO = ScalingModel.of("12")
 PLAIN = ScalingModel.custom(1.0, 0.0)
 
 
@@ -106,7 +106,8 @@ class TestExpansionResidual:
 
     def test_bounded_on_reference_grid(self):
         for ln_v in self.GRID:
-            assert abs(expansion_residual(ln_v, ONE_TWO)) <= 50.0
+            exact, terms = invert_numeric(ln_v, ONE_TWO), pc_expansion(ln_v, ONE_TWO)
+            assert abs(expansion_residual(ln_v, exact, terms)) <= 50.0
 
     def test_relative_error_decreases(self):
         rel = []

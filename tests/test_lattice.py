@@ -403,3 +403,15 @@ class TestConfiguration:
         a = empty_configuration(GridSpec((4, 3), "open"))
         b = empty_configuration(GridSpec((4, 3), "periodic"))
         assert a != b
+
+    @pytest.mark.parametrize("other", [None, 0, "dims: 4 3", GridSpec((4, 3))])
+    def test_unequal_to_a_non_configuration_both_ways(self, other):
+        config = empty_configuration(GridSpec((4, 3)))
+        assert config != other and other != config
+        assert not (config == other or other == config)
+
+    def test_repr_names_dims_boundary_and_occupancy(self):
+        cells = np.zeros((3, 4), dtype=bool)
+        cells[0, 1] = cells[2, 3] = True
+        config = Configuration(GridSpec((4, 3), "periodic"), cells)
+        assert repr(config) == "Configuration(dims=(4, 3), boundary='periodic', occupied=2/12)"
