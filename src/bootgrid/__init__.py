@@ -15,21 +15,16 @@ from .asymptotics import (
     epsilon_window,
     leading_pc,
     nucleation_closed_terms,
-    nucleation_log_prob_closed,
     nucleation_log_prob_sum,
     strategy_range,
 )
 from .growth import (
     GrowthEventSpec,
     GrowthPolynomial,
-    column_growth_polynomial,
     estimate_growth_mc,
-    horizontal_step_probability,
-    row_growth_polynomial,
 )
 from .inversion import (
     ExpansionTerms,
-    bracketing_check,
     bracketing_epsilon,
     expansion_residual,
     invert_numeric,
@@ -62,7 +57,6 @@ from .rules import (
     closure_fast,
     closure_lanes,
     closure_naive,
-    is_stable,
     make_rule,
     step,
 )
@@ -83,14 +77,12 @@ __all__ = [
     "Stream",
     "StrategyRange",
     "anisotropic_constant",
-    "bracketing_check",
     "bracketing_epsilon",
     "checkerboard_rect",
     "closure_batch",
     "closure_fast",
     "closure_lanes",
     "closure_naive",
-    "column_growth_polynomial",
     "critical_log_volume",
     "derive_seed",
     "empty_configuration",
@@ -103,18 +95,14 @@ __all__ = [
     "fill_success_counts",
     "from_text",
     "full_configuration",
-    "horizontal_step_probability",
     "invert_numeric",
-    "is_stable",
     "leading_pc",
     "make_rule",
     "nucleation_closed_terms",
-    "nucleation_log_prob_closed",
     "nucleation_log_prob_sum",
     "occupy_rect",
     "pc_expansion",
     "random_configuration",
-    "row_growth_polynomial",
     "step",
     "strategy_range",
     "to_text",

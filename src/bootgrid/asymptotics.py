@@ -23,8 +23,12 @@ edge, so sideways growth stops only at three empty columns of height n
 in a row, a run that starts at a given column with chance about
 exp(-3np).  From width x_n to x_{n+1} the rectangle crosses about
 exp(3np) columns, so the run turns up about once per stage.
-``growth.horizontal_step_probability`` models a different stage:
-columns absorbed only by their own helpers, at widths exp(np)/p.
+
+A result that leaves the float range (an infinite or nan value, or an
+OverflowError on the way) is refused with ``ValueError`` naming its
+input, never returned: every law here passes its result through
+:func:`_finite`, and so do the expansion and its residual in
+:mod:`bootgrid.inversion`.
 """
 
 from __future__ import annotations
@@ -116,6 +120,16 @@ class StrategyRange:
         return self.n_lo > self.n_hi
 
 
+def _finite(result, quantity: str, at: str):
+    """``result``, a float or a tuple of floats, if every value is finite;
+    otherwise ``ValueError`` saying that ``quantity`` at the input ``at``
+    is outside the float range."""
+    values = result if isinstance(result, tuple) else (result,)
+    if not all(map(isfinite, values)):
+        raise ValueError(f"{quantity} at {at} is outside the float range")
+    return result
+
+
 def strategy_range(p: float) -> StrategyRange:
     """Strategy stage bounds n0 = (2/p) ln ln (1/p), nf = (1/(3p)) ln(1/p).
 
@@ -124,7 +138,8 @@ def strategy_range(p: float) -> StrategyRange:
     ``is_empty``.
     """
     ln_inv = _check_small_p(p)
-    return StrategyRange(n0=2.0 / p * log(ln_inv), nf=ln_inv / (3.0 * p))
+    bounds = (2.0 / p * log(ln_inv), ln_inv / (3.0 * p))
+    return StrategyRange(*_finite(bounds, "the strategy's stage window", f"p = {p}"))
 
 
 def _check_small_p(p: float) -> float:
@@ -150,29 +165,34 @@ def nucleation_log_prob_sum(p: float, n_lo: int = 1, n_hi: int | None = None) ->
         raise ValueError(f"empty stage range [{n_lo}, {n_hi}] at p = {p}")
     count = n_hi - n_lo + 1
     per_stage = log(8.0 * p / (3.0 * e))
-    return count * per_stage + 3.0 * p * (n_lo + n_hi) * count / 2.0
+    log_sum = count * per_stage + 3.0 * p * (n_lo + n_hi) * count / 2.0
+    return _finite(log_sum, "the stage-product log", f"p = {p}")
 
 
 def nucleation_closed_terms(p: float) -> tuple[float, float]:
-    """The two displayed terms of the closed form, (leading, second)."""
+    """The two displayed terms of the closed form, (leading, second):
+    -(1/(6p)) ln^2(1/p) and (1/3) ln(8/(3e)) (1/p) ln(1/p).  Their sum,
+    the closed form itself, is checked to be finite too."""
     ln_inv = _check_small_p(p)
     leading = -(ln_inv**2) / (6.0 * p)
     second = -ONE_TWO_CPRIME * ln_inv / p
+    _finite((leading, second, leading + second), "the closed form", f"p = {p}")
     return leading, second
 
 
-def nucleation_log_prob_closed(p: float) -> float:
-    """-(1/(6p)) ln^2(1/p) + (1/3) ln(8/(3e)) (1/p) ln(1/p)."""
-    leading, second = nucleation_closed_terms(p)
-    return leading + second
+def _log_volume(model: ScalingModel, p: float) -> float:
+    """The formula of :func:`critical_log_volume`, unchecked: inf where it
+    overflows, as the bisection of ``invert_numeric`` may probe."""
+    ln_inv = log(1.0 / p)
+    return (model.C * ln_inv**2 + model.Cprime * ln_inv) / p
 
 
 def critical_log_volume(model: ScalingModel, p: float) -> float:
     """ln V_c(p) = (C/p) ln^2(1/p) + (C'/p) ln(1/p), for 0 < p <= exp(-2)."""
     if not 0.0 < p <= P_DOMAIN_MAX:
         raise ValueError(f"critical_log_volume needs 0 < p <= exp(-2), got {p}")
-    ln_inv = log(1.0 / p)
-    return (model.C * ln_inv**2 + model.Cprime * ln_inv) / p
+    at = f"p = {p}, C = {model.C}, C' = {model.Cprime}"
+    return _finite(_log_volume(model, p), "ln V_c", at)
 
 
 def anisotropic_constant(b: int) -> Fraction:
@@ -217,10 +237,13 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
     if standard_law is not None:
         if C is None:
             raise ValueError(f"family {spelled.name!r} needs an explicit leading constant C")
-        return standard_law(ScalingModel.custom(C, 0.0).C, ln_v)
-    model = ScalingModel.of(spelled)
-    c = model.C if C is None else replace(model, C=C).C
-    return c * log(ln_v) ** 2 / ln_v
+        c = ScalingModel.custom(C, 0.0).C
+        pc = standard_law(c, ln_v)
+    else:
+        model = ScalingModel.of(spelled)
+        c = model.C if C is None else replace(model, C=C).C
+        pc = c * log(ln_v) ** 2 / ln_v
+    return _finite(pc, "p_c", f"ln V = {ln_v}, C = {c}")
 
 
 # Threshold-window widths from the prefactor and ln V, keyed by the family
@@ -245,4 +268,8 @@ def epsilon_window(family: RuleFamily | str, ln_v: float, prefactor: float = 1.0
     law = _WINDOW_LAWS.get(_same_rule(spelled))
     if law is None:
         raise ValueError(f"no window law for family {spelled.name!r}")
-    return law(prefactor, ln_v)
+    try:
+        width = law(prefactor, ln_v)
+    except OverflowError:  # ln_v**2 past the float range
+        width = inf
+    return _finite(width, "the window width", f"ln V = {ln_v}, prefactor = {prefactor}")

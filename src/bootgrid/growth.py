@@ -60,9 +60,6 @@ At each p a block's helpers are packed into lane words
 :func:`bootgrid.montecarlo.held_hits`, the rectangle cells held as
 all-ones words, as the enumeration closes its subsets; a trial's hit is
 the AND of its lane over the targets, counted in the words.
-
-:func:`horizontal_step_probability` gives the per-stage horizontal growth
-probability of columns absorbed only by their own helpers.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from math import comb, exp, expm1, log1p
+from math import comb
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -179,9 +176,6 @@ class GrowthPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * p + c
         return acc
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if k < len(self.coeffs) else 0
 
 
 def _counts_to_polynomial(success_by_k: Sequence[int], m: int) -> GrowthPolynomial:
@@ -333,18 +327,6 @@ def growth_polynomial(spec: GrowthEventSpec) -> GrowthPolynomial:
     return _counts_to_polynomial(growth_success_counts(spec), spec.helper_cells)
 
 
-def column_growth_polynomial(n: int) -> GrowthPolynomial:
-    """Exact probability that a 2 x n occupied rectangle absorbs its full
-    east helper column, as a polynomial in p.  Equals 1 - (1-p)^n."""
-    return growth_polynomial(GrowthEventSpec("east_column", n))
-
-
-def row_growth_polynomial(x: int) -> GrowthPolynomial:
-    """Exact probability that an x-wide, 2-tall occupied rectangle absorbs
-    its full first north helper row, as a polynomial in p."""
-    return growth_polynomial(GrowthEventSpec("north_rows", x))
-
-
 def estimate_growth_mc(
     spec: GrowthEventSpec, ps: Sequence[float], trials: int, seed: int, threads: int = 1
 ) -> list[Estimate]:
@@ -368,37 +350,3 @@ def estimate_growth_mc(
         return int(np.count_nonzero(unpack_lanes(hits[:, None], len(occ))))
 
     return sample_estimate(realised, len(helpers), ps, trials, seed, _STREAM_DOMAIN, threads)
-
-
-def horizontal_step_probability(p: float, n: float) -> float:
-    """Probability that a height-n rectangle absorbs every column of one
-    horizontal stage, each column absorbed only by its own helpers.
-
-    That is the ``east_column`` event, column after column: a column is
-    missed with probability (1-p)^n and absorbed with 1 - (1-p)^n.  A
-    stage spans the gap between consecutive widths x_n = exp(n*p)/p, so
-    the value is (1 - (1-p)^n)^(x_{n+1} - x_n), which tends to 1/e as
-    p -> 0 at a fixed relative stage position.
-
-    This is not rule ``12``'s horizontal stage.  Rule ``12`` reaches two
-    cells along x, so a rectangle's next column is also absorbed by a
-    helper in either of the two columns past it, and horizontal growth
-    stops only at three empty columns in a row (see
-    :mod:`bootgrid.asymptotics` for the widths that geometry gives).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n * p > 700.0:
-        raise OverflowError(
-            f"exp(n*p) with n*p = {n * p:.3g} overflows a float; stage width is not representable"
-        )
-    # width gap x_{n+1} - x_n = expm1(p) * exp(n*p) / p
-    gap = expm1(p) * exp(n * p) / p
-    # miss probability of one column, q = (1-p)^n, computed in log space
-    log_q = n * log1p(-p)
-    if log_q > -1e-15:
-        return 0.0  # (1-p)^n is 1 to machine precision: no seeds to grow on
-    log_hit = log1p(-exp(log_q))
-    return exp(gap * log_hit)

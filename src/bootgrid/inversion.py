@@ -6,10 +6,10 @@ domain).  ``pc_expansion`` evaluates the three-term expansion
 
     p_c = [C ln^2 ln V - 4C ln ln ln V ln ln V + (-2C ln C + C') ln ln V] / ln V
 
-whose remainder is O(ln^2 ln ln V / ln V); the remainder is reported as an
-order descriptor, not computed.  Note the third coefficient flips sign
-contributions when C < 1 because ln C < 0; it is evaluated exactly as
-written.
+whose remainder is O(ln^2 ln ln V / ln V), the order ``REMAINDER_ORDER``
+names; the remainder itself is not computed.  Note the third coefficient
+flips sign contributions when C < 1 because ln C < 0; it is evaluated
+exactly as written.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log
 
-from .asymptotics import P_DOMAIN_MAX, ScalingModel, _check_ln_v, critical_log_volume
+from .asymptotics import (
+    P_DOMAIN_MAX,
+    ScalingModel,
+    _check_ln_v,
+    _finite,
+    _log_volume,
+    critical_log_volume,
+)
 
 REMAINDER_ORDER = "ln^2 ln ln V / ln V"
 
@@ -36,14 +43,16 @@ class ExpansionTerms:
     term2: float
     term3: float
     total: float
-    remainder_order: str = REMAINDER_ORDER
 
 
 def invert_numeric(ln_v: float, model: ScalingModel) -> float:
     """The unique p in (0, exp(-2)] with critical_log_volume(model, p) = ln_v.
 
     Bisection on ln p down to a 1e-12 relative bracket.  Raises if ln_v is
-    below the value at the domain edge p = exp(-2), where no root exists.
+    below the value at the domain edge p = exp(-2), where no root exists,
+    or if that value overflows a float.  Below the edge the forward map is
+    evaluated unchecked, so a probe that overflows reads as inf, above
+    ``ln_v``.
     """
     p_hi = P_DOMAIN_MAX
     f_hi = critical_log_volume(model, p_hi)
@@ -55,14 +64,14 @@ def invert_numeric(ln_v: float, model: ScalingModel) -> float:
         return p_hi
     # Walk the lower edge down until the (decreasing) forward map exceeds ln_v.
     p_lo = p_hi
-    while critical_log_volume(model, p_lo) < ln_v:
+    while _log_volume(model, p_lo) < ln_v:
         p_lo *= 0.5
         if p_lo < 1e-300:
             raise ValueError(f"ln V = {ln_v:g} too large to invert in float range")
     lo, hi = log(p_lo), log(p_hi)
     while hi - lo > _REL_WIDTH:
         mid = 0.5 * (lo + hi)
-        if critical_log_volume(model, exp(mid)) >= ln_v:
+        if _log_volume(model, exp(mid)) >= ln_v:
             lo = mid
         else:
             hi = mid
@@ -82,6 +91,8 @@ def pc_expansion(ln_v: float, model: ScalingModel) -> ExpansionTerms:
     total = 0.0
     for t in sorted((term1, term2, term3), key=abs):
         total += t
+    at = f"ln V = {ln_v}, C = {c}, C' = {model.Cprime}"
+    _finite((term1, term2, term3, total), "the p_c expansion", at)
     return ExpansionTerms(term1=term1, term2=term2, term3=term3, total=total)
 
 
@@ -90,7 +101,8 @@ def expansion_residual(ln_v: float, exact: float, terms: ExpansionTerms) -> floa
     expansion ``terms`` at ``ln_v`` normalised by its claimed order, with
     ``exact`` the root ``invert_numeric`` gives there."""
     lll = log(log(ln_v))
-    return (exact - terms.total) * ln_v / (lll * lll)
+    residual = (exact - terms.total) * ln_v / (lll * lll)
+    return _finite(residual, "the expansion residual", f"ln V = {ln_v}")
 
 
 def bracketing_epsilon(p: float, model: ScalingModel) -> float:
@@ -105,7 +117,8 @@ def bracketing_epsilon(p: float, model: ScalingModel) -> float:
     them all: the other two are its logarithm and its double logarithm,
     and log is increasing, so they hold whenever it holds.
     ``critical_log_volume`` refuses p above exp(-2), so ln(1/p) >= 2 and
-    every logarithm here is defined.
+    every logarithm here is defined, and it refuses a p at which ln V
+    overflows a float.
     """
     ln_v = critical_log_volume(model, p)
     ln_inv = log(1.0 / p)
@@ -116,8 +129,3 @@ def bracketing_epsilon(p: float, model: ScalingModel) -> float:
     eps_upper_v = ll / ln_inv - 1.0  # serves both the ln V and ln ln V chains
     eps_upper_lll = lll - log(ln_inv)
     return max(eps_upper_v, eps_upper_lll)
-
-
-def bracketing_check(p: float, model: ScalingModel, epsilon: float) -> bool:
-    """True iff all three chains hold at the caller-supplied epsilon."""
-    return bracketing_epsilon(p, model) <= epsilon

@@ -389,12 +389,6 @@ def step(config: Configuration, rule: Rule) -> tuple[Configuration, int]:
     return Configuration(config.grid, occ | new), changed
 
 
-def is_stable(config: Configuration, rule: Rule) -> bool:
-    """True iff one step changes nothing."""
-    _, changed = step(config, rule)
-    return changed == 0
-
-
 def closure_naive(config: Configuration, rule: Rule) -> Configuration:
     """Iterate the synchronous step until it stops changing."""
     current = config

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import e, exp, floor, fsum, inf, log, nan
 
@@ -13,7 +14,6 @@ from bootgrid import (
     leading_pc,
     make_rule,
     nucleation_closed_terms,
-    nucleation_log_prob_closed,
     nucleation_log_prob_sum,
     strategy_range,
 )
@@ -96,12 +96,14 @@ class TestNucleationClosed:
 
     def test_negative_for_small_p(self):
         for p in (1e-2, 1e-3, 1e-6, 1e-10):
-            assert nucleation_log_prob_closed(p) < 0.0
+            leading, second = nucleation_closed_terms(p)
+            assert leading + second < 0.0
 
     def test_gap_to_sum_shrinks_normalised(self):
         gaps = []
         for p in (1e-4, 1e-6, 1e-8, 1e-10):
-            gap = abs(nucleation_log_prob_sum(p) - nucleation_log_prob_closed(p))
+            leading, second = nucleation_closed_terms(p)
+            gap = abs(nucleation_log_prob_sum(p) - (leading + second))
             gaps.append(gap / (log(1.0 / p) / p))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -114,9 +116,8 @@ class TestCriticalLogVolume:
     def test_is_negated_closed_form_for_one_two(self):
         model = ScalingModel.of("12")
         for p in (1e-3, 1e-5, 1e-9):
-            assert critical_log_volume(model, p) == pytest.approx(
-                -nucleation_log_prob_closed(p), rel=1e-13
-            )
+            leading, second = nucleation_closed_terms(p)
+            assert critical_log_volume(model, p) == pytest.approx(-(leading + second), rel=1e-13)
 
     def test_strictly_decreasing_in_p(self):
         model = ScalingModel.of("12")
@@ -327,3 +328,27 @@ class TestFinalStage:
     def test_domain(self, p):
         with pytest.raises(ValueError):
             strategy_range(p).n_hi
+
+
+class TestResultsOutsideFloatRange:
+    """A result that overflows a float is refused, naming its input."""
+
+    @pytest.mark.parametrize(
+        "law, at",
+        [
+            (lambda: critical_log_volume(ScalingModel.of("12"), 1e-308), "p = 1e-308"),
+            (lambda: strategy_range(1e-308), "p = 1e-308"),
+            (lambda: nucleation_log_prob_sum(1e-304), "p = 1e-304"),
+            (lambda: nucleation_log_prob_sum(1e-306), "p = 1e-306"),
+            (lambda: nucleation_closed_terms(1e-304), "p = 1e-304"),
+            (lambda: leading_pc("12", 1e6, C=1e308), "ln V = 1000000.0, C = 1e+308"),
+            (lambda: epsilon_window("12", 1.4e154), "ln V = 1.4e+154"),
+            (lambda: epsilon_window("standard2", 1.4e154), "ln V = 1.4e+154"),
+            (lambda: epsilon_window("12", 1e6, prefactor=1e308), "prefactor = 1e+308"),
+        ],
+        ids=["ln_vc", "strategy", "sum_nan", "sum_floor", "closed", "leading_pc", "window_12",
+             "window_standard2", "window_prefactor"],
+    )
+    def test_refused_naming_the_input(self, law, at):
+        with pytest.raises(ValueError, match=f"{re.escape(at)}.* is outside the float range"):
+            law()

@@ -638,6 +638,55 @@ def table_rows(output: str, fmt: str) -> list:
     return json.loads(output)["rows"] if fmt == "json" else data_lines(output)[1:]
 
 
+class TestFloatRange:
+    """A row whose value overflows a float is refused (exit 1, nothing on
+    stdout) with a message naming the input; the rows just inside the range
+    keep their bytes."""
+
+    @pytest.mark.parametrize(
+        "argv, at",
+        [
+            (["nucleation", "--p", "1e-304"], "p = 1e-304"),
+            (["nucleation", "--p", "1e-306"], "p = 1e-306"),
+            (["nucleation", "--p", "1e-302,1e-304"], "p = 1e-304"),
+            (["scaling", "--family", "12", "--lnv", "1.4e154"], "ln V = 1.4e+154"),
+            (["scaling", "--family", "standard2", "--C", "1", "--lnv", "1.4e154"],
+             "ln V = 1.4e+154"),
+            (["scaling", "--family", "12", "--lnv", "1e6", "--C", "1e308"], "C = 1e+308"),
+            (["invert", "--C", "1e308", "--lnv", "1e6"], "C = 1e+308"),
+            (["invert", "--C", "1e306", "--lnv", "1e308"], "ln V = 1e+308, C = 1e+306"),
+        ],
+        ids=["nucleation_nan", "nucleation_floor", "nucleation_list", "scaling_12",
+             "scaling_standard2", "scaling_C", "invert_minimum", "invert_expansion"],
+    )
+    def test_refused_naming_the_input(self, capsys, argv, at):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert at in err and "is outside the float range" in err
+
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (["nucleation", "--p", "1e-302"],
+             "1e-302,-8.059682953381979e+306,-8.059238587801197e+306,"
+             "-4.443655807833816e+302,-8.05968295338198e+306"),
+            (["scaling", "--family", "12", "--lnv", "1.3e154"],
+             "12,1.3e+154,1.6144352841635446e-150,2.6441504374122547e-301"),
+            (["scaling", "--family", "standard2", "--C", "1", "--lnv", "1.3e154"],
+             "standard2,1.3e+154,7.692307692307693e-155,2.099766086305033e-306"),
+            # the bisection probes p at which ln V_c overflows a float
+            (["invert", "--C", "1e4", "--lnv", "1e308"],
+             "1e+308,4.718610488459186e-299,5.029592623524228e-299,-1.8621030757122253e-300,"
+             "-1.3063876944218774e-300,4.712743546510818e-299,136162.3847930041"),
+        ],
+        ids=["nucleation", "scaling_12", "scaling_standard2", "invert"],
+    )
+    def test_edge_rows_keep_their_bytes(self, capsys, argv, row):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert data_lines(out)[1:] == [row]
+
+
 class TestSweep:
     """sweep through the CLI: grid i of a sweep is estimated at seed
     derive_seed(seed, i), one row per p, grid by grid."""

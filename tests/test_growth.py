@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, e
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,14 +12,10 @@ from bootgrid import (
     Stream,
     closure_batch,
     closure_naive,
-    column_growth_polynomial,
     empty_configuration,
     estimate_growth_mc,
-    horizontal_step_probability,
     make_rule,
     occupy_rect,
-    row_growth_polynomial,
-    strategy_range,
 )
 from bootgrid.growth import COUNT_MAX_SIZE, growth_polynomial, growth_success_counts
 from bootgrid.montecarlo import subset_success_counts
@@ -91,38 +87,39 @@ class TestEventSpec:
 
 class TestColumnPolynomial:
     def test_n1_is_p(self):
-        poly = column_growth_polynomial(1)
+        poly = growth_polynomial(GrowthEventSpec("east_column", 1))
         assert list(poly.coeffs) == [0, 1]
 
     def test_n3_at_half(self):
-        assert column_growth_polynomial(3).evaluate(0.5) == pytest.approx(0.875, abs=1e-12)
+        poly = growth_polynomial(GrowthEventSpec("east_column", 3))
+        assert poly.evaluate(0.5) == pytest.approx(0.875, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_matches_one_minus_qn(self, n):
         # coefficient-level identity with the binomial expansion of 1-(1-p)^n
-        poly = column_growth_polynomial(n)
+        poly = growth_polynomial(GrowthEventSpec("east_column", n))
         expect = [Fraction(0)] + [Fraction((-1) ** (j + 1) * comb(n, j)) for j in range(1, n + 1)]
         assert list(poly.coeffs) == expect
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_matches_full_grid_closure_oracle(self, n):
-        got = column_growth_polynomial(n)
+        got = growth_polynomial(GrowthEventSpec("east_column", n))
         want = polynomial_from_oracle(lambda bits: column_event_by_closure(n, bits), n)
         assert list(got.coeffs) == want
 
     def test_cost_guard(self):
         with pytest.raises(ValueError):
-            column_growth_polynomial(21)
+            growth_polynomial(GrowthEventSpec("east_column", 21))
 
 
 class TestRowPolynomial:
     def test_x1_is_p(self):
-        poly = row_growth_polynomial(1)
+        poly = growth_polynomial(GrowthEventSpec("north_rows", 1))
         assert list(poly.coeffs) == [0, 1, 0]
 
     @pytest.mark.parametrize("x", [1, 2, 3, 4])
     def test_matches_full_grid_closure_oracle(self, x):
-        got = row_growth_polynomial(x)
+        got = growth_polynomial(GrowthEventSpec("north_rows", x))
         want = polynomial_from_oracle(lambda bits: row_event_by_closure(x, bits), 2 * x)
         assert list(got.coeffs) == want
 
@@ -130,7 +127,8 @@ class TestRowPolynomial:
         # 2^16 helper configurations: several enumeration blocks.
         events = row_events_by_batch_closure(8)
         counts = np.bincount([bin(b).count("1") for b in np.flatnonzero(events)], minlength=17)
-        assert list(row_growth_polynomial(8).coeffs) == polynomial_from_counts(counts.tolist())
+        poly = growth_polynomial(GrowthEventSpec("north_rows", 8))
+        assert list(poly.coeffs) == polynomial_from_counts(counts.tolist())
 
     def test_batch_oracle_agrees_with_naive_oracle(self):
         events = row_events_by_batch_closure(3)
@@ -141,7 +139,7 @@ class TestRowPolynomial:
             assert not row_event_by_closure(x, 0)
 
     def test_p2_coefficient_nondecreasing_in_x(self):
-        c2 = [row_growth_polynomial(x).coefficient(2) for x in range(2, 9)]
+        c2 = [growth_polynomial(GrowthEventSpec("north_rows", x)).coeffs[2] for x in range(2, 9)]
         assert all(b >= a for a, b in zip(c2, c2[1:]))
 
     @pytest.mark.parametrize(
@@ -159,24 +157,15 @@ class TestRowPolynomial:
         # helper configurations.
         grid, helpers, targets = GrowthEventSpec("north_rows", x).layout()
         assert subset_success_counts(ONE_TWO, grid, helpers, targets).tolist() == counts
-        assert list(row_growth_polynomial(x).coeffs) == polynomial_from_counts(counts)
+        poly = growth_polynomial(GrowthEventSpec("north_rows", x))
+        assert list(poly.coeffs) == polynomial_from_counts(counts)
 
     def test_cost_guard(self):
         with pytest.raises(ValueError):
-            row_growth_polynomial(13)
+            growth_polynomial(GrowthEventSpec("north_rows", 13))
 
 
 class TestGrowthPolynomial:
-    """The one exact path behind both wrappers."""
-
-    @pytest.mark.parametrize(
-        "direction, size, wrapper",
-        [("east_column", n, column_growth_polynomial) for n in range(1, 21)]
-        + [("north_rows", x, row_growth_polynomial) for x in range(1, 13)],
-    )
-    def test_equals_the_wrapper(self, direction, size, wrapper):
-        assert growth_polynomial(GrowthEventSpec(direction, size)) == wrapper(size)
-
     @pytest.mark.parametrize("direction, size", [("east_column", 21), ("north_rows", 13)])
     def test_refuses_a_size_above_the_cap_before_enumerating(self, monkeypatch, direction, size):
         def count_anyway(*args, **kwargs):
@@ -203,9 +192,9 @@ class TestGrowthPolynomial:
             assert abs(poly.evaluate(p) - float(poly.evaluate(Fraction(p)))) <= 1e-10
 
     def test_coefficients_are_integers(self):
-        for poly in (column_growth_polynomial(5), row_growth_polynomial(6)):
+        for spec in (GrowthEventSpec("east_column", 5), GrowthEventSpec("north_rows", 6)):
+            poly = growth_polynomial(spec)
             assert all(type(c) is int for c in poly.coeffs)
-            assert type(poly.coefficient(len(poly.coeffs))) is int
 
     @pytest.mark.parametrize(
         "p, value", [(0.05, "0.11820321686374342"), (0.1, "0.3459426013844376"),
@@ -215,7 +204,7 @@ class TestGrowthPolynomial:
         # The exact values of the benchmark's seed-0 growth_exact run
         # (north_rows 10), which its recorded output digests hold.  They
         # change only when those digests are re-recorded.
-        assert repr(row_growth_polynomial(10).evaluate(p)) == value
+        assert repr(growth_polynomial(GrowthEventSpec("north_rows", 10)).evaluate(p)) == value
 
 
 def enumerated_counts(spec: GrowthEventSpec, rule=ONE_TWO) -> list[int]:
@@ -303,7 +292,10 @@ class TestColumnAutomatonCounts:
 class TestPolynomialShape:
     @pytest.mark.parametrize(
         "poly",
-        [column_growth_polynomial(6), row_growth_polynomial(5)],
+        [
+            growth_polynomial(GrowthEventSpec("east_column", 6)),
+            growth_polynomial(GrowthEventSpec("north_rows", 5)),
+        ],
         ids=["column6", "row5"],
     )
     def test_values_in_unit_interval_and_monotone(self, poly):
@@ -313,7 +305,7 @@ class TestPolynomialShape:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_exact_evaluation(self):
-        poly = column_growth_polynomial(4)
+        poly = growth_polynomial(GrowthEventSpec("east_column", 4))
         assert poly.evaluate(Fraction(1, 2)) == 1 - Fraction(1, 2) ** 4
 
 
@@ -324,7 +316,7 @@ class TestGrowthMonteCarlo:
         assert abs(est.mean - expect) <= 3.0 * est.stderr
 
     def test_north_rows_against_enumeration(self):
-        poly = row_growth_polynomial(6)
+        poly = growth_polynomial(GrowthEventSpec("north_rows", 6))
         (est,) = estimate_growth_mc(GrowthEventSpec("north_rows", 6), [0.1], 50_000, seed=6)
         assert abs(est.mean - poly.evaluate(0.1)) <= 3.0 * est.stderr
 
@@ -387,8 +379,8 @@ class TestRuleTwelveHorizontalReach:
     """Under rule ``12`` a cell counts two cells to each side along x, so a
     rectangle's next column is absorbed by a helper in any of the three
     columns past its edge, and horizontal growth stops only at three empty
-    columns in a row.  This is not the column-by-column geometry of
-    :func:`horizontal_step_probability`."""
+    columns in a row, not at the first column that no helper of its own
+    absorbs."""
 
     @staticmethod
     def filled_columns(helper_columns, row):
@@ -408,33 +400,3 @@ class TestRuleTwelveHorizontalReach:
     def test_growth_stops_at_three_empty_columns(self, helpers, filled, row):
         assert self.filled_columns(helpers, row) == list(filled)
 
-
-class TestHorizontalStepProbability:
-    def test_near_einv_at_strategy_start(self):
-        p = 1e-3
-        n = -(-strategy_range(p).n0 // 1)  # ceil
-        value = horizontal_step_probability(p, n)
-        assert 0.2 <= value <= 0.5
-
-    def test_limit_one_over_e(self):
-        p = 1e-6
-        n = int(strategy_range(p).n0) + 1
-        value = horizontal_step_probability(p, n)
-        assert abs(value - 1.0 / e) / (1.0 / e) < 0.01
-
-    def test_tiny_n_tiny_p_near_zero(self):
-        assert horizontal_step_probability(1e-8, 1) < 1e-6
-
-    def test_zero_when_a_column_misses_to_machine_precision(self):
-        # (1-p)^n rounds to 1, so no column is ever absorbed
-        assert horizontal_step_probability(1e-17, 1) == 0.0
-
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            horizontal_step_probability(0.5, 5000)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            horizontal_step_probability(0.0, 5)
-        with pytest.raises(ValueError):
-            horizontal_step_probability(0.3, 0)

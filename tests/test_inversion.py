@@ -5,13 +5,13 @@ import pytest
 
 from bootgrid import (
     ScalingModel,
-    bracketing_check,
     bracketing_epsilon,
     critical_log_volume,
     expansion_residual,
     invert_numeric,
     pc_expansion,
 )
+from bootgrid.inversion import REMAINDER_ORDER
 
 ONE_TWO = ScalingModel.of("12")
 PLAIN = ScalingModel.custom(1.0, 0.0)
@@ -89,7 +89,7 @@ class TestPcExpansion:
             assert pc_expansion(ln_v, ONE_TWO).total > 0.0
 
     def test_remainder_descriptor(self):
-        assert "ln" in pc_expansion(1e6, ONE_TWO).remainder_order
+        assert "ln" in REMAINDER_ORDER
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -124,7 +124,7 @@ class TestExpansionResidual:
 
 class TestBracketing:
     def test_passes_at_generous_epsilon(self):
-        assert bracketing_check(1e-6, ONE_TWO, 0.5)
+        assert bracketing_epsilon(1e-6, ONE_TWO) <= 0.5
 
     def test_epsilon_shrinks_with_p(self):
         eps = [bracketing_epsilon(p, ONE_TWO) for p in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8)]
@@ -133,8 +133,8 @@ class TestBracketing:
 
     def test_fails_below_required_epsilon(self):
         needed = bracketing_epsilon(1e-6, ONE_TWO)
-        assert not bracketing_check(1e-6, ONE_TWO, needed * 0.9)
-        assert bracketing_check(1e-6, ONE_TWO, needed * 1.1)
+        assert not bracketing_epsilon(1e-6, ONE_TWO) <= needed * 0.9
+        assert bracketing_epsilon(1e-6, ONE_TWO) <= needed * 1.1
 
     def test_log_chain_lower_bound(self):
         # ln(1/p) <= ln ln V follows from ln V >= 1/p
@@ -171,3 +171,29 @@ class TestBracketing:
             assert (bracketing_epsilon(float(p), model) == inf) == (not first)
             infinite += not first
         assert 0 < infinite < 20000
+
+
+class TestResultsOutsideFloatRange:
+    @pytest.mark.parametrize("p", [1e-308, 1e-310])
+    def test_bracketing_refuses_a_p_whose_ln_v_overflows(self, p):
+        # inf would read as "the lower bounds fail"
+        with pytest.raises(ValueError, match=f"ln V_c at p = {p}, .* outside the float range"):
+            bracketing_epsilon(p, ONE_TWO)
+
+    def test_invert_refuses_an_admissible_minimum_past_float_range(self):
+        with pytest.raises(ValueError, match="C = 1e\\+308, .* outside the float range"):
+            invert_numeric(1e6, ScalingModel.custom(1e308, 0.0))
+
+    def test_expansion_refuses_terms_past_float_range(self):
+        # C ln ln V overflows on the way to term1
+        model = ScalingModel.custom(1e306, 0.0)
+        with pytest.raises(ValueError, match="ln V = 1e\\+308, C = 1e\\+306, .* outside"):
+            pc_expansion(1e308, model)
+
+    def test_bisection_may_probe_past_float_range(self):
+        # Probes below this root overflow the forward map and read as above
+        # ln V, so the root is still found.
+        model = ScalingModel.custom(1e4, 0.0)
+        assert invert_numeric(1e308, model) == 4.718610488459186e-299
+        with pytest.raises(ValueError, match="outside the float range"):
+            critical_log_volume(model, 1e-299)
