@@ -181,6 +181,24 @@ class TestGrowthPolynomial:
         "direction, size",
         [("east_column", n) for n in range(1, 21)] + [("north_rows", x) for x in range(1, 13)],
     )
+    def test_equals_the_probability_of_its_counts(self, direction, size):
+        # The monomial coefficients, evaluated exactly, give the probability
+        # sum_k c_k p^k (1-p)^(m-k) of the success counts at every size up
+        # to the caps; p = 0 and p = 1 give no success and sure success.
+        spec = GrowthEventSpec(direction, size)
+        poly = growth_polynomial(spec)
+        counts = growth_success_counts(spec)
+        m = spec.helper_cells
+        assert len(poly.coeffs) <= m + 1
+        for p in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(5, 6), Fraction(1)):
+            want = sum(c * p**k * (1 - p) ** (m - k) for k, c in enumerate(counts))
+            assert poly.evaluate(p) == want
+        assert poly.evaluate(Fraction(0)) == 0 and poly.evaluate(Fraction(1)) == 1
+
+    @pytest.mark.parametrize(
+        "direction, size",
+        [("east_column", n) for n in range(1, 21)] + [("north_rows", x) for x in range(1, 13)],
+    )
     def test_float_value_is_within_1e_10_of_the_exact_one(self, direction, size):
         # The monomial expansion cancels in floating point at every size, so
         # a float value is not the exact one rounded; at the sizes the CLI
