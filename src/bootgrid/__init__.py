@@ -8,27 +8,25 @@ their numeric inversion.
 """
 
 from .asymptotics import (
+    ExpansionTerms,
     ScalingModel,
     StrategyRange,
     anisotropic_constant,
+    bracketing_epsilon,
     critical_log_volume,
     epsilon_window,
+    expansion_residual,
+    invert_numeric,
     leading_pc,
     nucleation_closed_terms,
     nucleation_log_prob_sum,
+    pc_expansion,
     strategy_range,
 )
 from .growth import (
     GrowthEventSpec,
     GrowthPolynomial,
     estimate_growth_mc,
-)
-from .inversion import (
-    ExpansionTerms,
-    bracketing_epsilon,
-    expansion_residual,
-    invert_numeric,
-    pc_expansion,
 )
 from .lattice import (
     Configuration,

@@ -24,18 +24,29 @@ in a row, a run that starts at a given column with chance about
 exp(-3np).  From width x_n to x_{n+1} the rectangle crosses about
 exp(3np) columns, so the run turns up about once per stage.
 
+``invert_numeric`` solves p ln V = C ln^2(1/p) + C' ln(1/p) for p by
+bisection (the forward map is strictly decreasing on the admissible
+domain).  ``pc_expansion`` evaluates the three-term expansion
+
+    p_c = [C ln^2 ln V - 4C ln ln ln V ln ln V + (-2C ln C + C') ln ln V] / ln V
+
+whose remainder is O(ln^2 ln ln V / ln V), the order ``REMAINDER_ORDER``
+names; the remainder itself is not computed.  Note the third coefficient
+flips sign contributions when C < 1 because ln C < 0; it is evaluated
+exactly as written.
+
 A result that leaves the float range (an infinite or nan value, or an
 OverflowError on the way) is refused with ``ValueError`` naming its
 input, never returned: every law here passes its result through
-:func:`_finite`, and so do the expansion and its residual in
-:mod:`bootgrid.inversion`.
+:func:`_finite`, and so do the expansion and its residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, e, floor, inf, isfinite, log
+from math import ceil, e, exp, floor, inf, isfinite, log
+from sys import float_info
 
 from .rules import RuleFamily
 
@@ -165,7 +176,10 @@ def nucleation_log_prob_sum(p: float, n_lo: int = 1, n_hi: int | None = None) ->
         raise ValueError(f"empty stage range [{n_lo}, {n_hi}] at p = {p}")
     count = n_hi - n_lo + 1
     per_stage = log(8.0 * p / (3.0 * e))
-    log_sum = count * per_stage + 3.0 * p * (n_lo + n_hi) * count / 2.0
+    try:
+        log_sum = count * per_stage + 3.0 * p * (n_lo + n_hi) * count / 2.0
+    except OverflowError:  # a stage bound past the float range
+        log_sum = inf
     return _finite(log_sum, "the stage-product log", f"p = {p}")
 
 
@@ -193,6 +207,117 @@ def critical_log_volume(model: ScalingModel, p: float) -> float:
         raise ValueError(f"critical_log_volume needs 0 < p <= exp(-2), got {p}")
     at = f"p = {p}, C = {model.C}, C' = {model.Cprime}"
     return _finite(_log_volume(model, p), "ln V_c", at)
+
+
+REMAINDER_ORDER = "ln^2 ln ln V / ln V"
+
+_REL_WIDTH = 1e-12
+
+
+@dataclass(frozen=True)
+class ExpansionTerms:
+    """Term-by-term breakdown of the p_c(V) expansion.
+
+    ``total`` is the float sum of the three terms accumulated in ascending
+    magnitude (fixed order, so equal inputs give bit-equal totals).
+    """
+
+    term1: float
+    term2: float
+    term3: float
+    total: float
+
+
+def invert_numeric(ln_v: float, model: ScalingModel) -> float:
+    """The unique p in (0, exp(-2)] with critical_log_volume(model, p) = ln_v.
+
+    Bisection on ln p down to a 1e-12 relative bracket.  Raises if ln_v is
+    not finite, if it is below the value at the domain edge p = exp(-2),
+    where no root exists, or if that value overflows a float.  Below the
+    edge the forward map is evaluated unchecked, so a probe that overflows
+    reads as inf, above ``ln_v``.  Raises too if the root lies below the
+    smallest normal float, where 1/p loses precision and then overflows.
+    """
+    _check_ln_v(ln_v, -inf, "ln V must be finite")
+    p_hi = P_DOMAIN_MAX
+    f_hi = critical_log_volume(model, p_hi)
+    if ln_v < f_hi:
+        raise ValueError(
+            f"ln V = {ln_v:g} is below the admissible minimum {f_hi:g}; no root in (0, exp(-2)]"
+        )
+    if ln_v == f_hi:
+        return p_hi
+    # Walk the lower edge down until the (decreasing) forward map exceeds
+    # ln_v, at the latest at the smallest normal float.
+    p_lo = p_hi
+    while _log_volume(model, p_lo) < ln_v:
+        if p_lo == float_info.min:
+            raise ValueError(
+                f"ln V = {ln_v:g} is too large to invert: its root lies below the "
+                f"smallest normal float {float_info.min:g}"
+            )
+        p_lo = max(0.5 * p_lo, float_info.min)
+    lo, hi = log(p_lo), log(p_hi)
+    while hi - lo > _REL_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if _log_volume(model, exp(mid)) >= ln_v:
+            lo = mid
+        else:
+            hi = mid
+    return exp(0.5 * (lo + hi))
+
+
+def pc_expansion(ln_v: float, model: ScalingModel) -> ExpansionTerms:
+    """Three displayed expansion terms of p_c(V).  Needs a finite ln V > e^e
+    so the triple logarithm is defined and positive."""
+    _check_ln_v(ln_v, exp(1.0) ** exp(1.0), "expansion needs ln V > e^e")
+    ll = log(ln_v)
+    lll = log(ll)
+    c = model.C
+    term1 = c * ll * ll / ln_v
+    term2 = -4.0 * c * lll * ll / ln_v
+    term3 = (-2.0 * c * log(c) + model.Cprime) * ll / ln_v
+    total = 0.0
+    for t in sorted((term1, term2, term3), key=abs):
+        total += t
+    at = f"ln V = {ln_v}, C = {c}, C' = {model.Cprime}"
+    _finite((term1, term2, term3, total), "the p_c expansion", at)
+    return ExpansionTerms(term1=term1, term2=term2, term3=term3, total=total)
+
+
+def expansion_residual(ln_v: float, exact: float, terms: ExpansionTerms) -> float:
+    """(exact - terms.total) * ln V / ln^2 ln ln V: the remainder of the
+    expansion ``terms`` at ``ln_v`` normalised by its claimed order, with
+    ``exact`` the root ``invert_numeric`` gives there."""
+    lll = log(log(ln_v))
+    residual = (exact - terms.total) * ln_v / (lll * lll)
+    return _finite(residual, "the expansion residual", f"ln V = {ln_v}")
+
+
+def bracketing_epsilon(p: float, model: ScalingModel) -> float:
+    """Smallest epsilon making all three bracketing chains hold at
+    ln V = critical_log_volume(model, p):
+
+        1/p        <= ln V        <= p^-(1+eps)
+        ln(1/p)    <= ln ln V     <= (1+eps) ln(1/p)
+        ln ln(1/p) <= ln ln ln V  <= ln ln(1/p) + eps
+
+    Returns inf if the epsilon-free lower bounds fail.  The first decides
+    them all: the other two are its logarithm and its double logarithm,
+    and log is increasing, so they hold whenever it holds.
+    ``critical_log_volume`` refuses p above exp(-2), so ln(1/p) >= 2 and
+    every logarithm here is defined, and it refuses a p at which ln V
+    overflows a float.
+    """
+    ln_v = critical_log_volume(model, p)
+    ln_inv = log(1.0 / p)
+    if ln_v < 1.0 / p:
+        return float("inf")
+    ll = log(ln_v)
+    lll = log(ll)
+    eps_upper_v = ll / ln_inv - 1.0  # serves both the ln V and ln ln V chains
+    eps_upper_lll = lll - log(ln_inv)
+    return max(eps_upper_v, eps_upper_lll)
 
 
 def anisotropic_constant(b: int) -> Fraction:
@@ -229,7 +354,8 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
     standard d=2: C / ln V.  standard d=3: C / ln ln V.  The anisotropic
     (1,b) families: C ln^2 ln V / ln V with C from :meth:`ScalingModel.of`
     unless overridden.  For the standard families C must be supplied.  A
-    supplied C must be positive, as a model's is.
+    supplied C must be positive, as a model's is.  A p_c above 1 is no
+    density and is refused.
     """
     spelled = _as_family(family)
     _check_ln_v(ln_v)
@@ -243,7 +369,10 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
         model = ScalingModel.of(spelled)
         c = model.C if C is None else replace(model, C=C).C
         pc = c * log(ln_v) ** 2 / ln_v
-    return _finite(pc, "p_c", f"ln V = {ln_v}, C = {c}")
+    at = f"ln V = {ln_v}, C = {c}"
+    if _finite(pc, "p_c", at) > 1.0:
+        raise ValueError(f"the leading-order p_c at {at} is {pc}, above 1")
+    return pc
 
 
 # Threshold-window widths from the prefactor and ln V, keyed by the family

@@ -52,12 +52,14 @@ from .asymptotics import (
     _is_prefactor,
     _same_rule,
     epsilon_window,
+    expansion_residual,
+    invert_numeric,
     leading_pc,
     nucleation_closed_terms,
     nucleation_log_prob_sum,
+    pc_expansion,
 )
 from .growth import _SECTIONS, GrowthEventSpec, estimate_growth_mc, growth_polynomial
-from .inversion import expansion_residual, invert_numeric, pc_expansion
 from .lattice import BOUNDARIES, GridSpec, _check_p, from_text, to_text
 from .montecarlo import _check_trials, estimate_pc, fill_probability
 from .rng import _MASK64, derive_seed

@@ -39,7 +39,7 @@ from bootgrid import (
 )
 from bootgrid.cli import main as cli_main
 from bootgrid.growth import growth_polynomial
-from bootgrid.inversion import bracketing_epsilon
+from bootgrid.asymptotics import bracketing_epsilon
 
 FAMILIES = [
     RuleFamily.parse(name)

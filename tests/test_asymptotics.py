@@ -222,6 +222,21 @@ class TestLeadingPc:
         with pytest.raises(ValueError, match="family '1b:1' needs an explicit leading constant"):
             leading_pc("1b:1", 1e6)
 
+    @pytest.mark.parametrize(
+        "name, ln_v, c, at",
+        [
+            ("1b:40", 10.0, None, "ln V = 10.0, C = 18.548780487804876"),
+            ("standard2", 3.0, 5.0, "ln V = 3.0, C = 5.0"),
+            ("standard3", 1e6, 1e308, "ln V = 1000000.0, C = 1e+308"),
+        ],
+    )
+    def test_refuses_pc_above_one(self, name, ln_v, c, at):
+        with pytest.raises(ValueError, match=f"p_c at {re.escape(at)} is .*, above 1"):
+            leading_pc(name, ln_v, C=c)
+
+    def test_pc_of_one_is_a_density(self):
+        assert leading_pc("standard2", 3.0, C=3.0) == 1.0
+
 
 class TestAnisotropicConstant:
     def test_exact_values(self):
@@ -340,14 +355,17 @@ class TestResultsOutsideFloatRange:
             (lambda: strategy_range(1e-308), "p = 1e-308"),
             (lambda: nucleation_log_prob_sum(1e-304), "p = 1e-304"),
             (lambda: nucleation_log_prob_sum(1e-306), "p = 1e-306"),
+            # stage bounds too large for a float
+            (lambda: nucleation_log_prob_sum(1e-4, 1, 10**400), "p = 0.0001"),
+            (lambda: nucleation_log_prob_sum(1e-4, 10**400, 10**401), "p = 0.0001"),
             (lambda: nucleation_closed_terms(1e-304), "p = 1e-304"),
             (lambda: leading_pc("12", 1e6, C=1e308), "ln V = 1000000.0, C = 1e+308"),
             (lambda: epsilon_window("12", 1.4e154), "ln V = 1.4e+154"),
             (lambda: epsilon_window("standard2", 1.4e154), "ln V = 1.4e+154"),
             (lambda: epsilon_window("12", 1e6, prefactor=1e308), "prefactor = 1e+308"),
         ],
-        ids=["ln_vc", "strategy", "sum_nan", "sum_floor", "closed", "leading_pc", "window_12",
-             "window_standard2", "window_prefactor"],
+        ids=["ln_vc", "strategy", "sum_nan", "sum_floor", "sum_n_hi", "sum_range", "closed",
+             "leading_pc", "window_12", "window_standard2", "window_prefactor"],
     )
     def test_refused_naming_the_input(self, law, at):
         with pytest.raises(ValueError, match=f"{re.escape(at)}.* is outside the float range"):

@@ -269,9 +269,9 @@ class TestInvertEvaluatesEachRowOnce:
             calls.append(ln_v)
             return invert_numeric(ln_v, used)
 
-        # Both names, so a root found inside the inversion module counts too.
+        # Both names, so a root found inside the scaling module counts too.
         monkeypatch.setattr("bootgrid.cli.invert_numeric", counted)
-        monkeypatch.setattr("bootgrid.inversion.invert_numeric", counted)
+        monkeypatch.setattr("bootgrid.asymptotics.invert_numeric", counted)
         lnv = ",".join(repr(v) for v in self.LNV)
         code, out, _ = run_cli(capsys, "invert", *flags, "--lnv", lnv)
         assert code == 0
@@ -678,13 +678,38 @@ class TestFloatRange:
             (["invert", "--C", "1e4", "--lnv", "1e308"],
              "1e+308,4.718610488459186e-299,5.029592623524228e-299,-1.8621030757122253e-300,"
              "-1.3063876944218774e-300,4.712743546510818e-299,136162.3847930041"),
+            # a root below 1e-300, still a normal float
+            (["invert", "--family", "12", "--lnv", "1e306"],
+             "1e+306,8.011520319163746e-302,8.274142191212588e-302,-3.080292371586893e-303,"
+             "4.253217338718447e-304,8.008645127441083e-302,0.6686127300909072"),
         ],
-        ids=["nucleation", "scaling_12", "scaling_standard2", "invert"],
+        ids=["nucleation", "scaling_12", "scaling_standard2", "invert", "invert_tiny_root"],
     )
     def test_edge_rows_keep_their_bytes(self, capsys, argv, row):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert data_lines(out)[1:] == [row]
+
+
+class TestLeadingPcAboveOne:
+    """A leading-order p_c above 1 is no density: scaling exits 1 and
+    prints nothing, even when the row comes late in the list."""
+
+    @pytest.mark.parametrize(
+        "argv, at",
+        [
+            (["--family", "1b:40", "--lnv", "10"], "ln V = 10.0, C = 18.548780487804876"),
+            (["--family", "standard2", "--C", "5", "--lnv", "3"], "ln V = 3.0, C = 5.0"),
+            (["--family", "standard3", "--C", "1e308", "--lnv", "1e6"],
+             "ln V = 1000000.0, C = 1e+308"),
+            (["--family", "1b:40", "--lnv", "1e6,10"], "ln V = 10.0, C = 18.548780487804876"),
+        ],
+        ids=["1b40", "standard2", "standard3", "late_in_list"],
+    )
+    def test_refused_naming_the_input(self, capsys, argv, at):
+        code, out, err = run_cli(capsys, "scaling", *argv)
+        assert code == 1 and out == ""
+        assert f"p_c at {at} is " in err and ", above 1" in err
 
 
 class TestSweep:

@@ -11,7 +11,7 @@ from bootgrid import (
     invert_numeric,
     pc_expansion,
 )
-from bootgrid.inversion import REMAINDER_ORDER
+from bootgrid.asymptotics import REMAINDER_ORDER
 
 ONE_TWO = ScalingModel.of("12")
 PLAIN = ScalingModel.custom(1.0, 0.0)
@@ -45,10 +45,21 @@ class TestInvertNumeric:
         with pytest.raises(ValueError):
             invert_numeric(floor_value * 0.5, ONE_TWO)
 
-    def test_refuses_ln_v_past_float_range(self):
-        # p would have to fall below 1e-300 to reach ln V = 1e308
-        with pytest.raises(ValueError, match="too large to invert"):
-            invert_numeric(1e308, ScalingModel.of("12"))
+    @pytest.mark.parametrize("ln_v", [1e306, 1e308])
+    def test_root_below_1e_300_round_trips(self, ln_v):
+        # the roots, about 8.0e-302 and 8.1e-304, are normal floats
+        got = invert_numeric(ln_v, ONE_TWO)
+        assert got < 1e-300
+        assert critical_log_volume(ONE_TWO, got) == pytest.approx(ln_v, rel=1e-9)
+
+    def test_refuses_a_root_below_the_normal_floats(self):
+        with pytest.raises(ValueError, match="root lies below the smallest normal float"):
+            invert_numeric(1e25, ScalingModel.custom(1e-300, 0.0))
+
+    @pytest.mark.parametrize("ln_v", [nan, inf, -inf])
+    def test_refuses_ln_v_not_finite(self, ln_v):
+        with pytest.raises(ValueError, match=f"ln V must be finite, got {ln_v}"):
+            invert_numeric(ln_v, ONE_TWO)
 
     def test_boundary_root(self):
         floor_value = critical_log_volume(ONE_TWO, e**-2)
