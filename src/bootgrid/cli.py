@@ -49,7 +49,6 @@ from . import __version__
 from .asymptotics import (
     _WINDOW_LAWS,
     ScalingModel,
-    _is_prefactor,
     _same_rule,
     epsilon_window,
     expansion_residual,
@@ -190,7 +189,7 @@ def _scaling_model(args) -> ScalingModel:
         return ScalingModel.of(args.family)
     if args.C is None:
         raise ValueError("supply --family or --C/--Cprime")
-    return ScalingModel.custom(args.C, _cprime(args))
+    return ScalingModel(args.C, _cprime(args))
 
 
 def _cprime(args) -> float:
@@ -313,9 +312,9 @@ def _cmd_scaling(args):
     rows = []
     for ln_v in _float_list(args.lnv):
         pc = leading_pc(family, ln_v, C=args.C)
-        window = epsilon_window(family, ln_v, args.prefactor) if has_window else ""
+        window = epsilon_window(family, ln_v) if has_window else ""
         rows.append((family.name, ln_v, pc, window))
-    params = {"family": family.name, "lnv": args.lnv, "C": args.C, "prefactor": args.prefactor}
+    params = {"family": family.name, "lnv": args.lnv, "C": args.C}
     return params, ["family", "lnv", "pc_leading", "window"], rows
 
 
@@ -339,7 +338,6 @@ def _cmd_invert(args):
 _thread_count = _arg_type(int, lambda v: v >= 1, "an integer >= 1")
 # Stream keys are 64-bit: a seed outside this range would share another's stream.
 _seed = _arg_type(int, lambda v: 0 <= v <= _MASK64, "an integer in [0, 2^64)")
-_prefactor = _arg_type(_finite_float, _is_prefactor, "a positive number")
 
 
 def _add_common(sub, seed: bool = True, formats: tuple[str, ...] = ("csv", "json")) -> None:
@@ -411,13 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True)
     sp.add_argument("--lnv", required=True, help="comma-separated ln V values")
     sp.add_argument("--C", type=_finite_float, default=None, help="leading constant override")
-    sp.add_argument(
-        "--prefactor", type=_prefactor, default=1.0, help="window order constant, > 0"
-    )
     _add_common(sp, seed=False)
     sp.set_defaults(func=_cmd_scaling)
 
-    sp = subs.add_parser("invert", help="invert ln V_c and expand p_c(V)")
+    sp = subs.add_parser(
+        "invert",
+        help="invert ln V_c and expand p_c(V); p_numeric is the density, total the "
+        "three-term series, which can leave [0, 1] where ln ln V is small",
+    )
     sp.add_argument("--lnv", required=True)
     sp.add_argument("--family", default=None)
     sp.add_argument("--C", type=_finite_float, default=None)

@@ -72,7 +72,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lattice import GridSpec
+from .lattice import GridSpec, _check_int
 from .montecarlo import Estimate, held_hits, sample_estimate
 from .rules import Rule, RuleFamily, make_rule, pack_lanes, unpack_lanes
 
@@ -130,6 +130,7 @@ class GrowthEventSpec:
     def __post_init__(self):
         if self.direction not in _SECTIONS:
             raise ValueError(f"unknown growth direction {self.direction!r}")
+        object.__setattr__(self, "size", _check_int(self.size, "size"))
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
 

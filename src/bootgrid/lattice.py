@@ -62,7 +62,7 @@ class GridSpec:
     boundary: str = "open"
 
     def __init__(self, dims, boundary: str = "open"):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(_check_int(d, "a side length") for d in dims)
         if not 1 <= len(dims) <= 3:
             raise ValueError(f"dimension must be 1..3, got {len(dims)}")
         if any(d < 1 for d in dims):
@@ -100,8 +100,8 @@ class Rect:
     extents: tuple[int, ...]
 
     def __init__(self, corner, extents):
-        corner = tuple(int(c) for c in corner)
-        extents = tuple(int(e) for e in extents)
+        corner = tuple(_check_int(c, "a corner coordinate") for c in corner)
+        extents = tuple(_check_int(e, "an extent") for e in extents)
         if len(corner) != len(extents):
             raise ValueError("corner and extents must have the same dimension")
         if any(e < 1 for e in extents):
@@ -181,6 +181,14 @@ def random_configuration(grid: GridSpec, p: float, stream: Stream) -> Configurat
     _check_p(p)
     u = stream.uniforms(grid.cells)
     return Configuration(grid, (u < p).reshape(grid.shape))
+
+
+def _check_int(value, what: str) -> int:
+    """``value`` as a plain int, if it is a Python or numpy integer (not a
+    bool): the one check that a size or count is an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_p(p: float) -> float:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Configuration, GridSpec, _check_p
+from .lattice import Configuration, GridSpec, _check_int, _check_p
 from .rng import Stream
 from .rules import (
     Rule,
@@ -65,8 +65,9 @@ _BLOCK = 1 << 15
 
 
 def _check_trials(trials: int) -> None:
-    """Refuse a trial count below one: the one check of a trial count."""
-    if trials < 1:
+    """Refuse a trial count that is not an integer or is below one: the
+    one check of a trial count."""
+    if _check_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 

@@ -89,7 +89,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import Configuration, GridSpec
+from .lattice import Configuration, GridSpec, _check_int
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,8 @@ class RuleFamily:
         family = _FAMILIES.get(self.kind)
         if family is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        params = tuple(_check_int(v, f"a parameter of {self.kind}") for v in self.params)
+        object.__setattr__(self, "params", params)
         if len(self.params) != family.arity or not family.admits(*self.params):
             raise ValueError(f"{self.kind} needs {family.spelling}, got parameters {self.params}")
 

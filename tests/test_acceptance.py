@@ -213,7 +213,7 @@ def test_criterion_07_stage_product_leading_constant():
 def test_criterion_08_inversion_round_trip():
     start = time.monotonic()
     worst = 0.0
-    for model in (ScalingModel.of("12"), ScalingModel.custom(1.0, 0.0)):
+    for model in (ScalingModel.of("12"), ScalingModel(1.0, 0.0)):
         for p in np.logspace(-8, -2, 50):
             got = invert_numeric(critical_log_volume(model, p), model)
             worst = max(worst, abs(got - p) / p)
@@ -234,8 +234,8 @@ def test_criterion_09_expansion_consistency():
         exact = invert_numeric(ln_v, model)
         rel.append(abs(exact - pc_expansion(ln_v, model).total) / exact)
     decreasing = all(b < a for a, b in zip(rel, rel[1:]))
-    a = pc_expansion(1e8, ScalingModel.custom(model.C, -0.25))
-    b = pc_expansion(1e8, ScalingModel.custom(model.C, +0.40))
+    a = pc_expansion(1e8, ScalingModel(model.C, -0.25))
+    b = pc_expansion(1e8, ScalingModel(model.C, +0.40))
     independent = a.term1 == b.term1 and a.term2 == b.term2
     report(
         9,

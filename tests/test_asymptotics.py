@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 from fractions import Fraction
 from math import e, exp, floor, fsum, inf, log, nan
 
@@ -110,7 +111,7 @@ class TestNucleationClosed:
 
 class TestCriticalLogVolume:
     def test_simple_arithmetic(self):
-        model = ScalingModel.custom(1.0, 0.0)
+        model = ScalingModel(1.0, 0.0)
         assert critical_log_volume(model, exp(-10.0)) == pytest.approx(100.0 * exp(10.0), rel=1e-12)
 
     def test_is_negated_closed_form_for_one_two(self):
@@ -141,7 +142,7 @@ class TestScalingModel:
 
     def test_positive_c_required(self):
         with pytest.raises(ValueError):
-            ScalingModel.custom(0.0, 0.1)
+            ScalingModel(0.0, 0.1)
         with pytest.raises(ValueError):
             ScalingModel.of("1b:1")
 
@@ -150,10 +151,15 @@ class TestScalingModel:
     )
     def test_non_finite_coefficients_refused(self, c, cprime):
         with pytest.raises(ValueError):
-            ScalingModel.custom(c, cprime)
+            ScalingModel(c, cprime)
 
     def test_one_b3(self):
         assert ScalingModel.of("1b:3").C == pytest.approx(0.5)
+
+    def test_holds_only_its_coefficients(self):
+        assert [f.name for f in fields(ScalingModel)] == ["C", "Cprime"]
+        model = ScalingModel(1 / 6, ONE_TWO_CPRIME)
+        assert ScalingModel.of("1b:2") == ScalingModel.of("12") == model
 
     def test_one_two_leading_constant_is_one_sixth(self):
         # The double that the (1,2) rows have always been computed with.
@@ -248,6 +254,12 @@ class TestAnisotropicConstant:
         with pytest.raises(ValueError):
             anisotropic_constant(0)
 
+    @pytest.mark.parametrize("b", [2.7, 2.0, np.float64(3.0), "3", True, None])
+    def test_b_is_an_integer(self, b):
+        assert anisotropic_constant(np.int64(3)) == Fraction(1, 2)
+        with pytest.raises(ValueError, match=f"b must be an integer, got {re.escape(repr(b))}"):
+            anisotropic_constant(b)
+
 
 class TestEpsilonWindow:
     def test_standard_arithmetic(self):
@@ -267,11 +279,6 @@ class TestEpsilonWindow:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1e-9
 
-    def test_prefactor_scales(self):
-        assert epsilon_window("standard2", 1e6, prefactor=3.0) == pytest.approx(
-            3.0 * epsilon_window("standard2", 1e6), rel=1e-12
-        )
-
     def test_refuses_ln_v_at_most_e(self):
         with pytest.raises(ValueError, match=r"need ln V > e, got 2\.0"):
             epsilon_window("12", 2.0)
@@ -280,12 +287,6 @@ class TestEpsilonWindow:
     def test_refuses_ln_v_not_finite(self, ln_v):
         with pytest.raises(ValueError, match="ln V"):
             epsilon_window("12", ln_v)
-
-    @pytest.mark.parametrize("prefactor", [-1.0, 0.0, -0.0, inf, nan])
-    def test_refuses_prefactor_not_positive_and_finite(self, prefactor):
-        # -1.0 used to give a negative width, -0.0098 at ln V = 100
-        with pytest.raises(ValueError, match="prefactor must be positive and finite"):
-            epsilon_window("12", 100.0, prefactor=prefactor)
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
@@ -314,7 +315,7 @@ LAWS = {
         for ln_v in (50.0, 1e6, 1e12)
     },
     **{
-        f"window_{ln_v:g}": (lambda f, ln_v=ln_v: epsilon_window(f, ln_v, prefactor=2.5))
+        f"window_{ln_v:g}": (lambda f, ln_v=ln_v: epsilon_window(f, ln_v))
         for ln_v in (50.0, 1e6, 1e12)
     },
 }
@@ -362,10 +363,9 @@ class TestResultsOutsideFloatRange:
             (lambda: leading_pc("12", 1e6, C=1e308), "ln V = 1000000.0, C = 1e+308"),
             (lambda: epsilon_window("12", 1.4e154), "ln V = 1.4e+154"),
             (lambda: epsilon_window("standard2", 1.4e154), "ln V = 1.4e+154"),
-            (lambda: epsilon_window("12", 1e6, prefactor=1e308), "prefactor = 1e+308"),
         ],
         ids=["ln_vc", "strategy", "sum_nan", "sum_floor", "sum_n_hi", "sum_range", "closed",
-             "leading_pc", "window_12", "window_standard2", "window_prefactor"],
+             "leading_pc", "window_12", "window_standard2"],
     )
     def test_refused_naming_the_input(self, law, at):
         with pytest.raises(ValueError, match=f"{re.escape(at)}.* is outside the float range"):

@@ -2,7 +2,7 @@ import io
 import json
 import tracemalloc
 from datetime import datetime
-from math import log
+from math import exp, log
 
 import pytest
 
@@ -258,7 +258,7 @@ class TestInvertEvaluatesEachRowOnce:
         [
             (("--family", "12"), ScalingModel.of("12")),
             (("--family", "1b:3"), ScalingModel.of("1b:3")),
-            (("--C", "0.2", "--Cprime", "-0.1"), ScalingModel.custom(0.2, -0.1)),
+            (("--C", "0.2", "--Cprime", "-0.1"), ScalingModel(0.2, -0.1)),
         ],
         ids=["12", "1b:3", "custom"],
     )
@@ -448,7 +448,6 @@ class TestExitCodes:
             (["nucleation", "--p", "1e-4,-inf"], 1),
             (["invert", "--C", "1", "--lnv", "inf"], 1),
             (["scaling", "--family", "12", "--lnv", "1e6", "--C", "nan"], 2),
-            (["scaling", "--family", "12", "--lnv", "1e6", "--prefactor", "nan"], 2),
             (["scaling", "--family", "12", "--lnv", "1e6", "--C", "inf"], 2),
             (["invert", "--C", "1", "--Cprime", "nan", "--lnv", "100"], 2),
             (["invert", "--C=-inf", "--lnv", "100"], 2),
@@ -488,12 +487,12 @@ class TestExitCodes:
         assert "supply exactly one of --L and --dims" in err
         assert not dst.exists()
 
-    @pytest.mark.parametrize("prefactor", ["0", "-1", "-0.0"])
-    def test_scaling_refuses_a_prefactor_not_positive(self, capsys, prefactor):
+    def test_scaling_has_no_prefactor(self, capsys):
+        # The window is the law at order constant 1; no flag scales it.
         code, out, err = run_cli(capsys, "scaling", "--family", "12", "--lnv", "1e6",
-                                 f"--prefactor={prefactor}")
-        assert code == 2
-        assert "expected a positive number" in err and out == ""
+                                 "--prefactor", "2")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --prefactor 2" in err
 
     @pytest.mark.parametrize("family", ["12", "standard2"])
     @pytest.mark.parametrize("c", ["0", "-1"])
@@ -712,6 +711,36 @@ class TestLeadingPcAboveOne:
         assert f"p_c at {at} is " in err and ", above 1" in err
 
 
+class TestInvertTotalIsTheSeries:
+    """``p_numeric`` is the density; ``total`` is the value of the
+    three-term series, which leaves [0, 1] where ln ln V is small.  Such a
+    row is printed, not refused."""
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["--family", "1b:40", "--lnv", "1e3,1e6"],
+             ["1000.0,0.0991093944533551,0.8850936979797411,-0.9905224521357957,"
+              "-0.7483852891095849,-0.8538140432656395,255.1255496588843",
+              "1000000.0,0.0009095541272625931,0.0035403747919189646,-0.002691550909778414,"
+              "-0.00149677057821917,-0.0006479466960786196,225.89554785161218"]),
+            (["--C", "0.01", "--Cprime", "-1", "--lnv", "100"],
+             ["100.0,3.7200759760214704e-44,0.0021207592441913597,-0.0028131688325675986,"
+              "-0.0418101833714982,-0.04250259295987444,1.822364232588093"]),
+        ],
+        ids=["1b40", "custom"],
+    )
+    def test_negative_total_keeps_its_bytes(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, "invert", *argv)
+        assert code == 0
+        lines = data_lines(out)
+        assert lines[0] == "lnv,p_numeric,term1,term2,term3,total,residual"
+        assert lines[1:] == rows
+        for row in lines[1:]:
+            p_numeric, total = float(row.split(",")[1]), float(row.split(",")[5])
+            assert 0.0 < p_numeric <= exp(-2.0) and total < 0.0
+
+
 class TestSweep:
     """sweep through the CLI: grid i of a sweep is estimated at seed
     derive_seed(seed, i), one row per p, grid by grid."""
@@ -797,7 +826,7 @@ class TestOneRuleOneSetOfLaws:
         code, out, err = run_cli(capsys, *argv, "--family", family)
         return code, data_lines(out), err
 
-    @pytest.mark.parametrize("extra", [[], ["--C", "0.3"], ["--C", "0.55", "--prefactor", "2"]])
+    @pytest.mark.parametrize("extra", [[], ["--C", "0.3"], ["--C", "0.55"]])
     def test_scaling_rows_match_apart_from_the_family_column(self, capsys, a, b, extra):
         argv = ["scaling", "--lnv", "50,1e6,1e8", *extra]
         code_a, rows_a, _ = self.run_rows(capsys, a, *argv)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -83,6 +84,14 @@ class TestEventSpec:
             GrowthEventSpec("west_column", 3)
         with pytest.raises(ValueError):
             GrowthEventSpec("east_column", 0)
+
+    @pytest.mark.parametrize("size", [2.5, 2.0, np.float64(3.0), "3", True, None])
+    def test_size_is_an_integer(self, size):
+        spec = GrowthEventSpec("north_rows", np.int64(3))
+        assert spec.size == 3 and type(spec.size) is int and spec.helper_cells == 6
+        message = f"size must be an integer, got {re.escape(repr(size))}"
+        with pytest.raises(ValueError, match=message):
+            GrowthEventSpec("north_rows", size)
 
 
 class TestColumnPolynomial:

@@ -14,7 +14,7 @@ from bootgrid import (
 from bootgrid.asymptotics import REMAINDER_ORDER
 
 ONE_TWO = ScalingModel.of("12")
-PLAIN = ScalingModel.custom(1.0, 0.0)
+PLAIN = ScalingModel(1.0, 0.0)
 
 
 class TestInvertNumeric:
@@ -54,7 +54,7 @@ class TestInvertNumeric:
 
     def test_refuses_a_root_below_the_normal_floats(self):
         with pytest.raises(ValueError, match="root lies below the smallest normal float"):
-            invert_numeric(1e25, ScalingModel.custom(1e-300, 0.0))
+            invert_numeric(1e25, ScalingModel(1e-300, 0.0))
 
     @pytest.mark.parametrize("ln_v", [nan, inf, -inf])
     def test_refuses_ln_v_not_finite(self, ln_v):
@@ -80,8 +80,8 @@ class TestPcExpansion:
             assert terms.term1 * ln_v / log(ln_v) ** 2 == pytest.approx(ONE_TWO.C, rel=1e-12)
 
     def test_cprime_independence_of_first_two_terms(self):
-        a = pc_expansion(1e8, ScalingModel.custom(1 / 6, -0.3))
-        b = pc_expansion(1e8, ScalingModel.custom(1 / 6, +0.7))
+        a = pc_expansion(1e8, ScalingModel(1 / 6, -0.3))
+        b = pc_expansion(1e8, ScalingModel(1 / 6, +0.7))
         assert a.term1 == b.term1 and a.term2 == b.term2
         assert a.term3 != b.term3
 
@@ -156,7 +156,7 @@ class TestBracketing:
 
     def test_inf_when_ln_v_is_below_one_over_p(self):
         # ln V = 0.01 ln^2(10) / 0.1 = 0.53, below 1/p = 10
-        assert bracketing_epsilon(0.1, ScalingModel.custom(0.01, 0.0)) == float("inf")
+        assert bracketing_epsilon(0.1, ScalingModel(0.01, 0.0)) == float("inf")
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -173,7 +173,7 @@ class TestBracketing:
             np.exp(rng.uniform(log(1e-4), log(10.0), 20000)),
             rng.uniform(-3.0, 3.0, 20000),
         ):
-            model = ScalingModel.custom(float(c), float(cprime))
+            model = ScalingModel(float(c), float(cprime))
             ln_v = critical_log_volume(model, float(p))
             first = ln_v >= 1.0 / p
             if first:
@@ -193,18 +193,18 @@ class TestResultsOutsideFloatRange:
 
     def test_invert_refuses_an_admissible_minimum_past_float_range(self):
         with pytest.raises(ValueError, match="C = 1e\\+308, .* outside the float range"):
-            invert_numeric(1e6, ScalingModel.custom(1e308, 0.0))
+            invert_numeric(1e6, ScalingModel(1e308, 0.0))
 
     def test_expansion_refuses_terms_past_float_range(self):
         # C ln ln V overflows on the way to term1
-        model = ScalingModel.custom(1e306, 0.0)
+        model = ScalingModel(1e306, 0.0)
         with pytest.raises(ValueError, match="ln V = 1e\\+308, C = 1e\\+306, .* outside"):
             pc_expansion(1e308, model)
 
     def test_bisection_may_probe_past_float_range(self):
         # Probes below this root overflow the forward map and read as above
         # ln V, so the root is still found.
-        model = ScalingModel.custom(1e4, 0.0)
+        model = ScalingModel(1e4, 0.0)
         assert invert_numeric(1e308, model) == 4.718610488459186e-299
         with pytest.raises(ValueError, match="outside the float range"):
             critical_log_volume(model, 1e-299)

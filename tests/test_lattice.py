@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from bootgrid import (
     to_text,
 )
 from reference import ref_count_occupied, ref_from_text, ref_to_text
+
+NOT_INTEGERS = [2.7, 2.0, np.float64(3.0), "4", True, None]
 
 
 class TestGridSpec:
@@ -42,6 +46,14 @@ class TestGridSpec:
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):
             GridSpec((4, 4), "moebius")
+
+    @pytest.mark.parametrize("side", NOT_INTEGERS)
+    def test_side_lengths_are_integers(self, side):
+        dims = GridSpec((np.int64(4), np.uint8(3))).dims
+        assert dims == (4, 3) and all(type(d) is int for d in dims)
+        message = f"a side length must be an integer, got {re.escape(repr(side))}"
+        with pytest.raises(ValueError, match=message):
+            GridSpec((side, 3))
 
 
 class TestRandomConfiguration:
@@ -120,6 +132,16 @@ class TestRect:
             Rect((0, 0), (1, 0))
         with pytest.raises(ValueError, match="rect dimension does not match grid dimension"):
             Rect((0, 0), (1, 1)).check_within(GridSpec((4, 4, 4)))
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_corner_and_extents_are_integers(self, value):
+        rect = Rect((np.int32(1), 0), (np.int64(2), np.uint16(1)))
+        assert (rect.corner, rect.extents) == ((1, 0), (2, 1))
+        got = f"must be an integer, got {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=f"a corner coordinate {got}"):
+            Rect((value, 0), (1, 1))
+        with pytest.raises(ValueError, match=f"an extent {got}"):
+            Rect((0, 0), (value, 1))
 
     def test_3d_rect(self):
         cfg = empty_configuration(GridSpec((4, 4, 4)))

@@ -1,3 +1,4 @@
+import re
 import zlib
 from itertools import combinations
 
@@ -64,6 +65,17 @@ class TestEstimateType:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             Estimate(mean=0.5, stderr=0.1, trials=0, seed=1)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, np.float64(3.0), "3", True, None])
+    def test_trials_are_an_integer(self, trials):
+        assert Estimate(mean=0.5, stderr=0.1, trials=np.int64(3), seed=1).trials == 3
+        (est,) = fill_probability(STD2, GridSpec((3, 3)), [0.5], np.int32(3), seed=1)
+        assert est.trials == 3
+        message = f"trials must be an integer, got {re.escape(repr(trials))}"
+        with pytest.raises(ValueError, match=message):
+            Estimate(mean=0.5, stderr=0.1, trials=trials, seed=1)
+        with pytest.raises(ValueError, match=message):
+            fill_probability(STD2, GridSpec((3, 3)), [0.5], trials, seed=1)
 
     def test_rejects_negative_stderr(self):
         with pytest.raises(ValueError):

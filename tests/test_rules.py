@@ -1,3 +1,4 @@
+import re
 import zlib
 from itertools import repeat
 
@@ -187,6 +188,16 @@ class TestFamilyTable:
     def test_other_spellings_are_refused(self, name):
         with pytest.raises(ValueError, match="unknown rule family"):
             RuleFamily.parse(name)
+
+    @pytest.mark.parametrize("b", [2.7, 2.0, np.float64(3.0), "4", True, None])
+    def test_parameters_are_integers(self, b):
+        family = RuleFamily("one_b", (np.int64(3),))
+        assert family == RuleFamily.one_b(3) and type(family.params[0]) is int
+        message = f"a parameter of one_b must be an integer, got {re.escape(repr(b))}"
+        with pytest.raises(ValueError, match=message):
+            RuleFamily("one_b", (b,))
+        with pytest.raises(ValueError, match="a parameter of abc must be an integer"):
+            RuleFamily("abc", (1, 1, b))
 
     def test_surrounding_whitespace_is_stripped(self):
         assert RuleFamily.parse(" 1b:3\n") == RuleFamily.one_b(3)
