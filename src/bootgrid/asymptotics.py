@@ -58,8 +58,12 @@ from .lattice import _check_int
 # volume (V_c = 1/P) negates it.
 ONE_TWO_CPRIME = -log(8.0 / (3.0 * e)) / 3.0
 
-# critical_log_volume is restricted to p <= exp(-2); with a negative C'
-# the map can lose monotonicity nearer to p = 1, which would break inversion.
+# critical_log_volume is restricted to p <= exp(-2).  With y = ln(1/p),
+# d ln V_c / dy = e^y (C y^2 + (2C + C') y + C').  The bracket is 8C + 3C'
+# at y = 2 and, as C > 0, positive for every y > 2 exactly when
+# 8C + 3C' >= 0: then ln V_c decreases strictly on (0, exp(-2)] and each
+# value has one root.  With 8C + 3C' < 0 it first falls below its value at
+# exp(-2) and then rises.
 P_DOMAIN_MAX = e**-2
 
 
@@ -225,11 +229,16 @@ class ExpansionTerms:
 
 
 def invert_numeric(ln_v: float, model: ScalingModel) -> float:
-    """The unique p in (0, exp(-2)] with critical_log_volume(model, p) = ln_v.
+    """The p in (0, exp(-2)] with critical_log_volume(model, p) = ln_v,
+    for an ln_v that has exactly one: any ln_v at least the value at the
+    domain edge p = exp(-2) when 8C + 3C' >= 0, and any ln_v above it
+    otherwise (see ``P_DOMAIN_MAX``).
 
     Bisection on ln p down to a 1e-12 relative bracket.  Raises if ln_v is
-    not finite, if it is below the value at the domain edge p = exp(-2),
-    where no root exists, or if that value overflows a float.  Below the
+    not finite, if it is below the value at the domain edge, where no root
+    exists, or if that value overflows a float.  With 8C + 3C' < 0 the map
+    is not monotone, so an ln_v at or below the edge value is refused: it
+    has no root or more than one (a double root counted twice).  Below the
     edge the forward map is evaluated unchecked, so a probe that overflows
     reads as inf, above ``ln_v``.  Raises too if the root lies below the
     smallest normal float, where 1/p loses precision and then overflows.
@@ -237,6 +246,13 @@ def invert_numeric(ln_v: float, model: ScalingModel) -> float:
     _check_ln_v(ln_v, -inf, "ln V must be finite")
     p_hi = P_DOMAIN_MAX
     f_hi = critical_log_volume(model, p_hi)
+    slope = 8.0 * model.C + 3.0 * model.Cprime
+    if slope < 0.0 and ln_v <= f_hi:
+        raise ValueError(
+            f"ln V = {ln_v:g} is at or below ln V_c(exp(-2)) = {f_hi:g}, where ln V_c is "
+            f"not monotone in p (8C + 3C' = {slope:g} < 0): such an ln V has no root in "
+            f"(0, exp(-2)] or more than one"
+        )
     if ln_v < f_hi:
         raise ValueError(
             f"ln V = {ln_v:g} is below the admissible minimum {f_hi:g}; no root in (0, exp(-2)]"

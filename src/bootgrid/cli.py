@@ -12,14 +12,15 @@ One executable, eight subcommands, machine-readable output:
     invert      numeric inversion of ln V_c plus the expansion terms
 
 Each subcommand only computes: it maps the parsed arguments to its
-parameters, its columns and its rows (``close``: its lattice text).
-``main`` then builds the one manifest (subcommand, parameters, seed,
-threads, version, timestamp) and one writer emits it, as ``#`` comment
-lines in CSV mode or a ``manifest`` object in JSON mode, followed by the
-rows.  Data rows are a pure function of the manifest minus its timestamp;
-``--threads`` changes runtime only.  ``BOOTGRID_THREADS`` is the default
-of ``--threads`` and is checked the same way.  Exit codes: 0 on success,
-2 on usage errors, 1 on runtime errors.
+columns and its rows (``close``: its lattice text).  ``main`` then builds
+the one manifest (subcommand, the flags as parsed, seed, threads, version,
+timestamp) and one writer emits it, as ``#`` comment lines in CSV mode or
+a ``manifest`` object in JSON mode, followed by the rows.  The csv module
+writes each CSV table, so a field holding a comma (``abc:1,1,2``) is
+quoted.  Data rows are a pure function of the manifest minus its
+timestamp; ``--threads`` changes runtime only.  ``BOOTGRID_THREADS`` is
+the default of ``--threads`` and is checked the same way.  Exit codes: 0
+on success, 2 on usage errors, 1 on runtime errors.
 
 ``fill``, ``pc`` and ``sweep`` share one path: one helper declares
 their common flags, one parser reads the grids of ``--L`` or ``--dims``
@@ -37,6 +38,7 @@ A library user makes a sweep table by calling
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -102,10 +104,7 @@ def _write(args, manifest: RunManifest, columns: list[str] | None, rows) -> None
         if columns is None:
             out.write(rows)
         else:
-            out.write(",".join(columns) + "\n")
-            for row in rows:
-                cells = (repr(v) if isinstance(v, float) else str(v) for v in row)
-                out.write(",".join(cells) + "\n")
+            csv.writer(out, lineterminator="\n").writerows([columns, *rows])
 
 
 def _arg_type(convert, accepts, spelling: str):
@@ -189,16 +188,11 @@ def _scaling_model(args) -> ScalingModel:
         return ScalingModel.of(args.family)
     if args.C is None:
         raise ValueError("supply --family or --C/--Cprime")
-    return ScalingModel(args.C, _cprime(args))
-
-
-def _cprime(args) -> float:
-    """``--Cprime``, which defaults to 0.0 when omitted."""
-    return 0.0 if args.Cprime is None else args.Cprime
+    return ScalingModel(args.C, 0.0 if args.Cprime is None else args.Cprime)
 
 
 # --------------------------------------------------------------------------
-# subcommands: each maps args to (params, columns, rows) and writes nothing
+# subcommands: each maps args to (columns, rows) and writes nothing
 # --------------------------------------------------------------------------
 
 
@@ -215,18 +209,11 @@ def _estimate_table(family: RuleFamily, runs, p_list: list[float], estimate):
     return ["family", "dims", "p", "mean", "stderr", "trials", "seed"], rows
 
 
-def _fill_table(args, family: RuleFamily, rule: Rule, runs, dims):
+def _fill_table(args, family: RuleFamily, rule: Rule, runs):
     """fill and sweep: the fill estimate at each p of ``--p`` on each
-    (grid, seed) of ``runs``; ``dims`` is the manifest's record of the grids."""
+    (grid, seed) of ``runs``."""
     p_list = _mc_p_list(args.p, args.trials)
-    params = {
-        "rule": family.name,
-        "dims": dims,
-        "boundary": args.boundary,
-        "p": args.p,
-        "trials": args.trials,
-    }
-    return params, *_estimate_table(
+    return _estimate_table(
         family,
         runs,
         p_list,
@@ -235,33 +222,24 @@ def _fill_table(args, family: RuleFamily, rule: Rule, runs, dims):
 
 
 def _cmd_close(args):
-    family = RuleFamily.parse(args.rule)
-    rule = make_rule(family)
+    rule = make_rule(RuleFamily.parse(args.rule))
     # The text is dropped once parsed and the parsed cells once closed, so
     # no stage holds more than three text-sized buffers.
     with nullcontext(sys.stdin) if args.infile == "-" else open(args.infile) as fp:
         config = from_text(fp.read())
     closed = closure_fast(config, rule)
     del config
-    return {"rule": family.name, "in": args.infile}, None, to_text(closed)
+    return None, to_text(closed)
 
 
 def _cmd_fill(args):
     family, rule, (grid,) = _rule_and_grids(args, single=True)
-    return _fill_table(args, family, rule, [(grid, args.seed)], _dims_str(grid.dims))
+    return _fill_table(args, family, rule, [(grid, args.seed)])
 
 
 def _cmd_pc(args):
     family, rule, (grid,) = _rule_and_grids(args, single=True)
-    params = {
-        "rule": family.name,
-        "dims": _dims_str(grid.dims),
-        "boundary": args.boundary,
-        "target": args.target,
-        "tol": args.tol,
-        "trials": args.trials,
-    }
-    return params, *_estimate_table(
+    return _estimate_table(
         family,
         [(grid, args.seed)],
         [args.target],
@@ -282,7 +260,7 @@ def _cmd_pc(args):
 def _cmd_sweep(args):
     family, rule, grids = _rule_and_grids(args)
     runs = [(grid, derive_seed(args.seed, i)) for i, grid in enumerate(grids)]
-    return _fill_table(args, family, rule, runs, [_dims_str(grid.dims) for grid in grids])
+    return _fill_table(args, family, rule, runs)
 
 
 def _cmd_growth(args):
@@ -294,8 +272,7 @@ def _cmd_growth(args):
         (spec.direction, spec.size, p, poly.evaluate(p), est.mean, est.stderr, est.trials)
         for p, est in zip(p_list, estimates)
     ]
-    params = {"event": spec.direction, "size": spec.size, "p": args.p, "trials": args.trials}
-    return params, ["event", "param", "p", "exact", "mc_mean", "mc_stderr", "trials"], rows
+    return ["event", "param", "p", "exact", "mc_mean", "mc_stderr", "trials"], rows
 
 
 def _cmd_nucleation(args):
@@ -303,7 +280,7 @@ def _cmd_nucleation(args):
     for p in _float_list(args.p):
         leading, second = nucleation_closed_terms(p)
         rows.append((p, nucleation_log_prob_sum(p), leading, second, leading + second))
-    return {"p": args.p}, ["p", "log_sum", "leading", "second", "closed_total"], rows
+    return ["p", "log_sum", "leading", "second", "closed_total"], rows
 
 
 def _cmd_scaling(args):
@@ -314,8 +291,7 @@ def _cmd_scaling(args):
         pc = leading_pc(family, ln_v, C=args.C)
         window = epsilon_window(family, ln_v) if has_window else ""
         rows.append((family.name, ln_v, pc, window))
-    params = {"family": family.name, "lnv": args.lnv, "C": args.C}
-    return params, ["family", "lnv", "pc_leading", "window"], rows
+    return ["family", "lnv", "pc_leading", "window"], rows
 
 
 def _cmd_invert(args):
@@ -326,8 +302,7 @@ def _cmd_invert(args):
         terms = pc_expansion(ln_v, model)
         residual = expansion_residual(ln_v, p_numeric, terms)
         rows.append((ln_v, p_numeric, terms.term1, terms.term2, terms.term3, terms.total, residual))
-    params = {"lnv": args.lnv, "family": args.family, "C": args.C, "Cprime": _cprime(args)}
-    return params, ["lnv", "p_numeric", "term1", "term2", "term3", "total", "residual"], rows
+    return ["lnv", "p_numeric", "term1", "term2", "term3", "total", "residual"], rows
 
 
 # --------------------------------------------------------------------------
@@ -427,6 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags the manifest records in fields of their own, or that only say where
+# the output goes; every other parsed flag is a parameter.
+_RUN_FLAGS = {"subcommand", "func", "seed", "threads", "format", "out"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -434,7 +414,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        params, columns, rows = args.func(args)
+        columns, rows = args.func(args)
+        params = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS}
         manifest = RunManifest(args.subcommand, params, getattr(args, "seed", None), args.threads)
         _write(args, manifest, columns, rows)
     except Exception as exc:  # runtime failure: report, exit 1

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tracemalloc
@@ -22,7 +23,7 @@ from bootgrid import (
     random_configuration,
     to_text,
 )
-from bootgrid.cli import main
+from bootgrid.cli import build_parser, main
 from reference import ref_to_text
 
 
@@ -328,12 +329,22 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "--C and --Cprime cannot be combined with --family" in err
 
-    def test_invert_family_records_cprime_zero(self, capsys):
+    def test_invert_family_records_cprime_as_not_given(self, capsys):
+        # The flag was not given, and the family's C' is (1/3) ln(3e/8), not 0.0.
         code, out, _ = run_cli(capsys, "invert", "--family", "12", "--lnv", "1e6",
                                "--format", "json")
         assert code == 0
         params = json.loads(out)["manifest"]["params"]
-        assert params == {"lnv": "1e6", "family": "12", "C": None, "Cprime": 0.0}
+        assert params == {"lnv": "1e6", "family": "12", "C": None, "Cprime": None}
+
+    def test_invert_refuses_ln_v_where_ln_v_c_is_not_monotone(self, capsys):
+        # 8C + 3C' = -1 < 0: ln V_c dips below its value -14.78 at exp(-2), so
+        # -15 has two roots (ln V_c(exp(-2.2)) = -15.88).
+        code, out, err = run_cli(capsys, "invert", "--C", "1", "--Cprime", "-3", "--lnv=-15")
+        assert code == 1 and out == ""
+        assert ("bootgrid: error: ln V = -15 is at or below ln V_c(exp(-2)) = -14.7781, where "
+                "ln V_c is not monotone in p (8C + 3C' = -1 < 0): such an ln V has no root "
+                "in (0, exp(-2)] or more than one") in err
 
     @pytest.mark.parametrize("tol", ["1", "0", "1.5"])
     def test_tolerance_outside_unit_interval_is_runtime_error(self, capsys, tol):
@@ -966,6 +977,51 @@ class TestWriterContract:
         assert code == 1
         assert "bootgrid: error:" in err and out == ""
         assert not dst.exists()
+
+
+# Flags the manifest records in fields of its own, or that say only where the
+# output goes; params holds every other flag as parsed.
+_RUN_KEYS = {"subcommand", "func", "seed", "threads", "format", "out"}
+
+
+@pytest.mark.parametrize("name", [*TABLE_RUNS, "close"])
+def test_manifest_params_are_the_parsed_flags(tmp_path, capsys, name):
+    if name == "close":
+        src = tmp_path / "in.txt"
+        src.write_text("dims: 3 1\nboundary: open\n010\n")
+        argv = ["close", "--rule", "12", "--in", str(src)]
+    else:
+        argv = TABLE_RUNS[name][0]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("# params: ")]
+    parsed = vars(build_parser().parse_args(argv))
+    want = {k: v for k, v in parsed.items() if k not in _RUN_KEYS}
+    assert json.loads(line.removeprefix("# params: ")) == want
+
+
+class TestCommaInFamilyName:
+    """``abc:<a>,<b>,<c>`` is the one family name holding commas: its CSV
+    field is quoted, so every row reads back as the header's 7 fields."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fill", "--L", "3", "--p", "0.5,0.9", "--trials", "50"],
+        ["pc", "--L", "3", "--trials", "20", "--tol", "0.05"],
+        ["sweep", "--dims", "3,3,3;3,3,4", "--p", "0.5,0.9", "--trials", "20"],
+    ], ids=["fill", "pc", "sweep"])
+    def test_csv_rows_read_back_as_the_json_rows(self, capsys, argv):
+        argv = [*argv, "--rule", "abc:1,1,2"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        header, *rows = csv.reader(data_lines(out))
+        assert header == ["family", "dims", "p", "mean", "stderr", "trials", "seed"]
+        assert rows and all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows] == ["abc:1,1,2"] * len(rows)
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        table = json.loads(out)["rows"]
+        assert [list(row) for row in table] == [header] * len(rows)
+        assert [[str(v) for v in row.values()] for row in table] == rows
 
 
 @pytest.mark.usefixtures("frozen_clock")

@@ -66,6 +66,26 @@ class TestInvertNumeric:
         assert invert_numeric(floor_value, ONE_TWO) == pytest.approx(e**-2, rel=1e-12)
 
 
+def test_refuses_ln_v_at_or_below_the_edge_where_ln_v_c_is_not_monotone():
+    # With 8C + 3C' < 0, ln V_c falls below its value at exp(-2) before it
+    # rises, so an ln V at or below that value has no root or two: -15 has
+    # two under C = 1, C' = -3 (8C + 3C' = -1).
+    dip = ScalingModel(1.0, -3.0)
+    edge = critical_log_volume(dip, e**-2)
+    assert critical_log_volume(dip, e**-2.2) < -15.0 < edge < critical_log_volume(dip, e**-4)
+    for ln_v in (-15.0, edge):
+        with pytest.raises(ValueError, match=r"not monotone in p \(8C \+ 3C' = -1 < 0\)"):
+            invert_numeric(ln_v, dip)
+    # Above the edge value the root is unique, and answered.
+    for ln_v in (-14.0, 1e6):
+        got = invert_numeric(ln_v, dip)
+        assert critical_log_volume(dip, got) == pytest.approx(ln_v, rel=1e-9)
+    # At 8C + 3C' = 0 the slope in ln(1/p) vanishes at exp(-2) alone: ln V_c
+    # still decreases strictly, and the edge value's one root is exp(-2).
+    flat = ScalingModel(3.0, -8.0)
+    assert invert_numeric(critical_log_volume(flat, e**-2), flat) == e**-2
+
+
 class TestPcExpansion:
     def test_arithmetic_at_e_to_e2(self):
         ln_v = exp(exp(2.0))
