@@ -74,8 +74,8 @@ def _as_family(family: RuleFamily | str) -> RuleFamily:
 # Family names that spell the rule of another family: equal stencils, so
 # equal scaling laws.
 _SAME_RULE = {
-    RuleFamily.one_two(): RuleFamily.one_b(2),
-    RuleFamily.one_b(1): RuleFamily.standard(2),
+    RuleFamily.parse("12"): RuleFamily.parse("1b:2"),
+    RuleFamily.parse("1b:1"): RuleFamily.parse("standard2"),
 }
 
 
@@ -354,8 +354,8 @@ def _check_ln_v(ln_v: float, least: float = e, need: str = "need ln V > e") -> N
 
 # Leading-order p_c(V) of the standard families, from C and ln V.
 _STANDARD_LAWS = {
-    RuleFamily.standard(2): lambda c, ln_v: c / ln_v,
-    RuleFamily.standard(3): lambda c, ln_v: c / log(ln_v),
+    RuleFamily.parse("standard2"): lambda c, ln_v: c / ln_v,
+    RuleFamily.parse("standard3"): lambda c, ln_v: c / log(ln_v),
 }
 
 
@@ -389,8 +389,8 @@ def leading_pc(family: RuleFamily | str, ln_v: float, C: float | None = None) ->
 # Threshold-window widths from ln V, keyed by the family whose rule the
 # laws describe; a family absent here has no window law.
 _WINDOW_LAWS = {
-    RuleFamily.standard(2): lambda ln_v: log(ln_v) / ln_v**2,
-    RuleFamily.one_b(2): lambda ln_v: log(ln_v) ** 3 / ln_v**2,
+    RuleFamily.parse("standard2"): lambda ln_v: log(ln_v) / ln_v**2,
+    RuleFamily.parse("1b:2"): lambda ln_v: log(ln_v) ** 3 / ln_v**2,
 }
 
 

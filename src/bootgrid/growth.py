@@ -86,7 +86,7 @@ COUNT_MAX_SIZE = 256
 # contents and 1b:5 has 1365.
 _MAX_CONTENTS = 512
 
-_ONE_TWO = make_rule(RuleFamily.one_two())
+_ONE_TWO = make_rule(RuleFamily.parse("12"))
 _STREAM_DOMAIN = 0x67726F77  # distinct from the fill-probability domain
 
 

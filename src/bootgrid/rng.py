@@ -60,6 +60,14 @@ def _hash_key(key: tuple[int, ...]) -> int:
     return h
 
 
+def _uniforms(hashes: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Uniforms ``first .. first + count`` of the streams whose key hashes
+    are ``hashes``: one row a hash, one column a counter.  Each is the top
+    53 bits of ``mix(hash ^ counter)`` scaled into [0, 1)."""
+    bits = _mix_array(hashes[:, None] ^ np.arange(first, first + count, dtype=np.uint64))
+    return np.right_shift(bits, np.uint64(11), out=bits) * 2.0**-53
+
+
 def derive_seed(seed: int, *parts: int) -> int:
     """Fold extra indices into a seed, giving an independent 64-bit seed."""
     return _hash_key((seed, *parts))
@@ -82,10 +90,7 @@ class Stream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` float64 uniforms in [0, 1).  Same call, same numbers."""
-        base = np.uint64(_hash_key(self.key))
-        ctr = np.arange(count, dtype=np.uint64)
-        bits = _mix_array(base ^ ctr)
-        return (bits >> np.uint64(11)) * 2.0**-53
+        return _uniforms(np.array([_hash_key(self.key)], dtype=np.uint64), 0, count)[0]
 
     def uniform_block(
         self, first_child: int, n_children: int, count: int, first: int = 0
@@ -98,10 +103,7 @@ class Stream:
         is what allows trial loops to be vectorised, and a long stream to be
         drawn in pieces, without changing any trial's numbers.
         """
-        base = np.uint64(_hash_key(self.key))
-        kids = base ^ (np.arange(first_child, first_child + n_children, dtype=np.uint64))
-        kid_hashes = _mix_array(kids)
-        ctr = np.arange(first, first + count, dtype=np.uint64)
-        bits = _mix_array(kid_hashes[:, None] ^ ctr[None, :])
-        bits >>= np.uint64(11)
-        return bits * 2.0**-53
+        kids = np.uint64(_hash_key(self.key)) ^ np.arange(
+            first_child, first_child + n_children, dtype=np.uint64
+        )
+        return _uniforms(_mix_array(kids), first, count)

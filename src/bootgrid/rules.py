@@ -219,30 +219,6 @@ class RuleFamily:
             raise ValueError(f"{self.kind} needs {family.spelling}, got parameters {self.params}")
 
     @staticmethod
-    def standard(d: int) -> "RuleFamily":
-        return RuleFamily("standard", (d,))
-
-    @staticmethod
-    def modified(d: int) -> "RuleFamily":
-        return RuleFamily("modified", (d,))
-
-    @staticmethod
-    def one_two() -> "RuleFamily":
-        return RuleFamily("one_two")
-
-    @staticmethod
-    def one_b(b: int) -> "RuleFamily":
-        return RuleFamily("one_b", (b,))
-
-    @staticmethod
-    def duarte() -> "RuleFamily":
-        return RuleFamily("duarte")
-
-    @staticmethod
-    def abc(a: int, b: int, c: int) -> "RuleFamily":
-        return RuleFamily("abc", (a, b, c))
-
-    @staticmethod
     def parse(name: str) -> "RuleFamily":
         """The family whose :attr:`name` is ``name`` once surrounding
         whitespace is stripped, such as ``12``, ``1b:3`` or ``abc:1,2,3``.

@@ -26,7 +26,7 @@ def ref_make_rule(family: RuleFamily) -> Rule:
         d = family.params[0]
         return Rule("modified", d, _axis_units(d), d)
     if family.kind == "one_two":
-        return ref_make_rule(RuleFamily.one_b(2))
+        return ref_make_rule(RuleFamily.parse("1b:2"))
     if family.kind == "one_b":
         b = family.params[0]
         offsets = [(i, 0) for i in range(1, b + 1)] + [(-i, 0) for i in range(1, b + 1)]

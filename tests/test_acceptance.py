@@ -112,8 +112,8 @@ def test_criterion_02_idempotence_and_monotonicity_suites():
 
 
 def test_criterion_03_one_two_structural_lemmas():
-    one_two = make_rule(RuleFamily.one_two())
-    std2 = make_rule(RuleFamily.standard(2))
+    one_two = make_rule(RuleFamily.parse("12"))
+    std2 = make_rule(RuleFamily.parse("standard2"))
     # (a) every isolated rectangle up to 10x10 is a fixed point
     for rule in (one_two, std2):
         for w in range(1, 11):
@@ -142,7 +142,7 @@ def test_criterion_03_one_two_structural_lemmas():
 
 
 def test_criterion_04_exact_fill_oracle():
-    std2 = make_rule(RuleFamily.standard(2))
+    std2 = make_rule(RuleFamily.parse("standard2"))
     counts = fill_success_counts(std2, GridSpec((2, 2)))
     poly_ok = counts.tolist() == [0, 0, 2, 4, 1]
     if not poly_ok:
@@ -281,7 +281,7 @@ def test_criterion_12_determinism_and_performance():
 
     grid = GridSpec((4096, 4096))
     cfg = random_configuration(grid, 0.05, Stream(1212))
-    rule = make_rule(RuleFamily.one_two())
+    rule = make_rule(RuleFamily.parse("12"))
     start = time.monotonic()
     closure_fast(cfg, rule)
     elapsed = time.monotonic() - start

@@ -180,15 +180,15 @@ class TestScalingModel:
 class TestLeadingPc:
     def test_one_two_form(self):
         ln_v = exp(10.0)
-        assert leading_pc(RuleFamily.one_two(), ln_v) == pytest.approx(
+        assert leading_pc(RuleFamily.parse("12"), ln_v) == pytest.approx(
             (1 / 6) * 100.0 / exp(10.0), rel=1e-12
         )
 
     def test_standard2_with_unit_constant(self):
-        assert leading_pc(RuleFamily.standard(2), 1e6, C=1.0) == pytest.approx(1e-6)
+        assert leading_pc(RuleFamily.parse("standard2"), 1e6, C=1.0) == pytest.approx(1e-6)
 
     def test_standard3_uses_double_log(self):
-        assert leading_pc(RuleFamily.standard(3), 1e6, C=1.0) == pytest.approx(1 / log(1e6))
+        assert leading_pc(RuleFamily.parse("standard3"), 1e6, C=1.0) == pytest.approx(1 / log(1e6))
 
     def test_one_b3_to_one_two_ratio(self):
         ln_v = exp(10.0)
@@ -197,15 +197,15 @@ class TestLeadingPc:
 
     def test_standard_requires_constant(self):
         with pytest.raises(ValueError):
-            leading_pc(RuleFamily.standard(2), 1e6)
+            leading_pc(RuleFamily.parse("standard2"), 1e6)
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError):
-            leading_pc(RuleFamily.duarte(), 1e6)
+            leading_pc(RuleFamily.parse("duarte"), 1e6)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            leading_pc(RuleFamily.one_two(), 2.0)
+            leading_pc(RuleFamily.parse("12"), 2.0)
 
     @pytest.mark.parametrize("name", ["12", "standard2"])
     @pytest.mark.parametrize("ln_v", [inf, nan])

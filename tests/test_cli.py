@@ -46,7 +46,7 @@ class TestClose:
         code, out, _ = run_cli(capsys, "close", "--rule", "12", "--in", str(src))
         assert code == 0
         got = from_text(out)
-        assert got == closure_fast(cfg, make_rule(RuleFamily.one_two()))
+        assert got == closure_fast(cfg, make_rule(RuleFamily.parse("12")))
 
     def test_output_file(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
@@ -782,7 +782,7 @@ class TestSweep:
         (row,) = self.sweep_rows(capsys, "--L", "5", "--p", "0.33", "--trials", "900",
                                  "--seed", "42")
         row_seed = derive_seed(42, 0)
-        (direct,) = fill_probability(make_rule(RuleFamily.standard(2)), GridSpec((5, 5)),
+        (direct,) = fill_probability(make_rule(RuleFamily.parse("standard2")), GridSpec((5, 5)),
                                      [0.33], 900, row_seed)
         assert float(row["mean"]) == direct.mean and int(row["seed"]) == row_seed
 
@@ -814,7 +814,7 @@ class TestStencilLongerThanTheGrid:
         code, out, _ = run_cli(capsys, "fill", "--rule", "1b:20000", "--L", "8",
                                "--p", "0.1,1", "--trials", "24", "--seed", "3")
         assert code == 0
-        rule, grid = make_rule(RuleFamily.one_b(20000)), GridSpec((8, 8))
+        rule, grid = make_rule(RuleFamily.parse("1b:20000")), GridSpec((8, 8))
         root = Stream((3, _STREAM_DOMAIN))
         want = []
         for p in (0.1, 1.0):
@@ -1095,7 +1095,7 @@ class TestCloseBytes:
         import sys
 
         cfg = random_configuration(GridSpec((9, 7)), 0.3, Stream(31))
-        want = ref_to_text(closure_naive(cfg, make_rule(RuleFamily.one_two())))
+        want = ref_to_text(closure_naive(cfg, make_rule(RuleFamily.parse("12"))))
         result = subprocess.run(
             [sys.executable, "-m", "bootgrid.cli", "close", "--rule", "12", "--in", "-"],
             input=ref_to_text(cfg).replace("\n", "\r\n").encode("ascii"),
@@ -1147,4 +1147,4 @@ class TestCloseMemory:
         src.write_text(text)
         argv = ["close", "--rule", "12", "--in", str(src), "--out", str(dst)]
         assert _traced_peak(lambda: main(argv)) <= 4 * len(text)
-        assert from_text(dst.read_text()) == closure_fast(cfg, make_rule(RuleFamily.one_two()))
+        assert from_text(dst.read_text()) == closure_fast(cfg, make_rule(RuleFamily.parse("12")))

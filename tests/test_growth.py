@@ -21,7 +21,7 @@ from bootgrid import (
 from bootgrid.growth import COUNT_MAX_SIZE, growth_polynomial, growth_success_counts
 from bootgrid.montecarlo import subset_success_counts
 
-ONE_TWO = make_rule(RuleFamily.one_two())
+ONE_TWO = make_rule(RuleFamily.parse("12"))
 
 
 def column_event_by_closure(n: int, helper_bits: int) -> bool:

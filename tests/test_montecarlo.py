@@ -21,6 +21,7 @@ from bootgrid import (
     random_configuration,
 )
 from bootgrid import GrowthEventSpec, estimate_growth_mc
+from bootgrid.growth import _STREAM_DOMAIN as _GROWTH_DOMAIN
 from bootgrid.montecarlo import (
     _BLOCK,
     _STREAM_DOMAIN,
@@ -28,9 +29,10 @@ from bootgrid.montecarlo import (
     sample_estimate,
     subset_success_counts,
 )
+from bootgrid.rng import _hash_key, _mix_int
 from reference import ref_subset_success_counts
 
-STD2 = make_rule(RuleFamily.standard(2))
+STD2 = make_rule(RuleFamily.parse("standard2"))
 
 
 def rebuilt_fill(grid, ps, trials, seed, closure=closure_naive):
@@ -407,6 +409,28 @@ class TestStreamKeys:
         assert est.seed == top
 
 
+
+class TestStreamsAgainstScalarSplitMix:
+    """Every uniform, element by element, against SplitMix64 on Python
+    ints: uniform i of a stream with key hash h is the top 53 bits of
+    mix(h ^ i) scaled into [0, 1), and child c of a stream has key hash
+    mix(h ^ c)."""
+
+    @staticmethod
+    def oracle(h, first, count):
+        return [(_mix_int(h ^ i) >> 11) * 2.0**-53 for i in range(first, first + count)]
+
+    @pytest.mark.parametrize(
+        "key", [(0,), ((1 << 64) - 1,), (7, _STREAM_DOMAIN), (7, _GROWTH_DOMAIN)], ids=str
+    )
+    def test_every_element(self, key):
+        h, root = _hash_key(key), Stream(key)
+        assert root.uniforms(50).tolist() == self.oracle(h, 0, 50)
+        assert root.child(6).uniforms(20).tolist() == self.oracle(_mix_int(h ^ 6), 0, 20)
+        block = root.uniform_block(5, 3, 17, 40)
+        assert block.tolist() == [self.oracle(_mix_int(h ^ c), 40, 17) for c in (5, 6, 7)]
+
+
 class TestFillExact:
     def test_2x2_polynomial(self):
         counts = fill_success_counts(STD2, GridSpec((2, 2)))
@@ -444,10 +468,10 @@ class TestFillExact:
             (STD2, (4, 4), 0.35),
             (STD2, (1, 1), 0.6),
             (STD2, (5, 4), 0.3),
-            (make_rule(RuleFamily.one_two()), (6, 3), 0.45),
-            (make_rule(RuleFamily.modified(2)), (4, 5), 0.5),
-            (make_rule(RuleFamily.standard(3)), (2, 3, 3), 0.4),
-            (make_rule(RuleFamily.abc(1, 1, 2)), (2, 2, 5), 0.55),
+            (make_rule(RuleFamily.parse("12")), (6, 3), 0.45),
+            (make_rule(RuleFamily.parse("modified2")), (4, 5), 0.5),
+            (make_rule(RuleFamily.parse("standard3")), (2, 3, 3), 0.4),
+            (make_rule(RuleFamily.parse("abc:1,1,2")), (2, 2, 5), 0.55),
         ]
         for rule, dims, p in cases:
             grid = GridSpec(dims)
@@ -457,7 +481,7 @@ class TestFillExact:
             assert abs(est.mean - exact) <= 3.0 * max(sigma, 1e-9)
 
     def test_modified_rule_exact_path(self):
-        rule = make_rule(RuleFamily.modified(2))
+        rule = make_rule(RuleFamily.parse("modified2"))
         grid = GridSpec((2, 2))
         # modified on 2x2 open: an empty cell needs occupied neighbours on
         # both axes, i.e. both orthogonal cells; same subsets fill as standard2
@@ -551,7 +575,7 @@ class TestSubsetSuccessCounts:
         assert mixed
 
 
-ONE_TWO = make_rule(RuleFamily.one_two())
+ONE_TWO = make_rule(RuleFamily.parse("12"))
 
 # 2D and 3D grids of 6 and 7 cells (one word), 12 cells (64 words, one
 # block) and 18 cells (4096 words: a first block of 512 and three doubling
@@ -715,5 +739,5 @@ class TestDimensionMismatch:
 
     def test_higher_dimensional_grid_is_refused(self):
         with pytest.raises(ValueError, match="rule dimension 1 does not match grid dimension 2"):
-            fill_probability_exact(make_rule(RuleFamily.standard(1)), GridSpec((2, 2)), 0.5)
+            fill_probability_exact(make_rule(RuleFamily.parse("standard1")), GridSpec((2, 2)), 0.5)
 
