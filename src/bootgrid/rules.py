@@ -66,7 +66,9 @@ bit-parallel kernel in two packings, and by a naive oracle:
     builds uint64 lanes directly from the subset indices.
 
 All of them agree bit for bit.  The naive step counts neighbours in the
-narrowest unsigned type that holds the stencil size, and the kernel's
+narrowest unsigned type that holds the stencil size (on a periodic grid it
+shifts once for each group of offsets equal modulo the side lengths, the
+shifted grid weighted by the group's size), and the kernel's
 counter has as many digit planes as its planes' total weight has bits,
 so stencils of more than 255 offsets (``1b:b`` with b >= 127, ``abc``
 with a+b+c >= 128) do not wrap.  On an open grid both packings step a
@@ -331,8 +333,17 @@ def _count_dtype(rule: Rule) -> np.dtype:
 def _neighbour_counts(occ: np.ndarray, rule: Rule, periodic: bool) -> np.ndarray:
     counts = np.zeros(occ.shape, dtype=_count_dtype(rule))
     occ8 = occ.view(np.uint8) if occ.dtype == bool else occ
-    for off in rule.offsets:
-        _shifted_into(counts, occ8, off, periodic)
+    if not periodic:
+        for off in rule.offsets:
+            _shifted_into(counts, occ8, off, periodic)
+        return counts
+    # Offsets equal modulo the side lengths read the same cell: shift once
+    # for each such group, weighted by the number of offsets in it.
+    sides = occ.shape[::-1]  # x first, as offsets are
+    groups = Counter(tuple(v % n for v, n in zip(off, sides)) for off in rule.offsets)
+    for off, weight in groups.items():
+        src = occ8 if weight == 1 else np.multiply(occ8, weight, dtype=counts.dtype)
+        _shifted_into(counts, src, off, periodic)
     return counts
 
 

@@ -65,6 +65,21 @@ class TestClose:
         assert code == 0
         assert from_text(out).count_occupied() == 2
 
+    def test_dense_input_at_scale_is_the_naive_closure(self, tmp_path, capsys):
+        # standard2 at 1024^2 and p = 0.05 fills the grid; the --out file
+        # holds exactly the bytes of to_text of the naive closure after its
+        # manifest lines.
+        cfg = random_configuration(GridSpec((1024, 1024)), 0.05, Stream(1))
+        want = closure_naive(cfg, make_rule(RuleFamily.parse("standard2")))
+        assert want.is_full()
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(to_text(cfg))
+        code, out, err = run_cli(capsys, "close", "--rule", "standard2", "--in", str(src),
+                                 "--out", str(dst))
+        assert (code, out, err) == (0, "", "")
+        same = _after_manifest(dst.read_bytes().decode("ascii")) == to_text(want)
+        assert same  # not compared in the assertion: a diff of 1 MB texts takes minutes
+
 
 class TestSubprocess:
     def test_real_process_round_trip(self, tmp_path):
@@ -806,6 +821,14 @@ class TestSweep:
 
 
 class TestStencilLongerThanTheGrid:
+    def test_periodic_fill_row(self, capsys):
+        # 40002 offsets wrap onto 9 cells of a periodic 8 x 8 grid.
+        code, out, err = run_cli(capsys, "fill", "--rule", "1b:20000", "--L", "8",
+                                 "--boundary", "periodic", "--p", "0.6", "--trials", "64")
+        assert code == 0, err
+        (row,) = csv.DictReader(data_lines(out))
+        assert 0 <= float(row["mean"]) <= 1
+
     def test_fill_row_matches_per_trial_naive_reconstruction(self, capsys):
         # 40002 offsets, of which 16 land on an open 8 x 8 grid: fewer than
         # theta = 20001, so a trial fills only when it starts full.

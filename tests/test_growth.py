@@ -116,6 +116,11 @@ class TestColumnPolynomial:
         want = polynomial_from_oracle(lambda bits: column_event_by_closure(n, bits), n)
         assert list(got.coeffs) == want
 
+    @pytest.mark.parametrize("p", [0.05, 0.3])
+    def test_float_value_at_the_height_cap(self, p):
+        value = growth_polynomial(GrowthEventSpec("east_column", 20)).evaluate(p)
+        assert abs(value - (1 - (1 - p) ** 20)) <= 1e-12
+
     def test_cost_guard(self):
         with pytest.raises(ValueError):
             growth_polynomial(GrowthEventSpec("east_column", 21))
@@ -244,15 +249,34 @@ class TestColumnAutomatonCounts:
     """growth_success_counts against the enumeration of every helper
     configuration, including sizes above the caps of growth_polynomial."""
 
+    @staticmethod
+    def check_polynomial(spec: GrowthEventSpec, counts: list[int]):
+        """growth_polynomial's coefficients are the expansion of the
+        enumerated counts, and its float value is Horner's rule on them,
+        bit for bit."""
+        poly = growth_polynomial(spec)
+        coeffs = polynomial_from_counts(counts)
+        assert list(poly.coeffs) == coeffs
+        for p in (0.05, 0.1, 0.3):
+            acc = 0.0
+            for c in reversed(coeffs):
+                acc = acc * p + float(c)
+            assert poly.evaluate(p) == acc, p
+
     @pytest.mark.parametrize("x", range(1, 15))
     def test_north_rows_equal_the_enumeration(self, x):
         spec = GrowthEventSpec("north_rows", x)
-        assert growth_success_counts(spec) == enumerated_counts(spec)
+        counts = enumerated_counts(spec)
+        assert growth_success_counts(spec) == counts
+        if x <= 12:  # the cap of growth_polynomial
+            self.check_polynomial(spec, counts)
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_east_column_equals_the_enumeration(self, n):
         spec = GrowthEventSpec("east_column", n)
-        assert growth_success_counts(spec) == enumerated_counts(spec)
+        counts = enumerated_counts(spec)
+        assert growth_success_counts(spec) == counts
+        self.check_polynomial(spec, counts)
 
     @pytest.mark.parametrize("family", ["1b:1", "1b:3", "duarte"])
     @pytest.mark.parametrize("x", range(1, 10))
@@ -376,18 +400,45 @@ class TestGrowthMonteCarlo:
         assert 0 < est.mean < 1
         assert est.mean == occupied.any(axis=1).sum() / 7000
 
+    def test_width_cap_against_the_exact_value_at_any_threads(self, monkeypatch):
+        # north_rows 12 has 24 helper cells: 2000 trials are one block, and
+        # 100000 trials two, of 50048 and 49952, which threads=2 closes at
+        # once.  Every run gives the same estimates at 1 and 2 threads.
+        import bootgrid.montecarlo as mc
+
+        spec = GrowthEventSpec("north_rows", 12)
+        poly = growth_polynomial(spec)
+        draw, blocks = mc.draw_occupancy, []
+
+        def counted(root, start, m, *rest):
+            blocks.append(m)
+            return draw(root, start, m, *rest)
+
+        monkeypatch.setattr(mc, "draw_occupancy", counted)
+        for ps, trials, sizes in (([0.1], 2000, [2000]), ([0.05, 0.1], 100_000, [50048, 49952])):
+            runs = []
+            for threads in (1, 2):
+                blocks.clear()
+                runs.append(estimate_growth_mc(spec, ps, trials, seed=0, threads=threads))
+                assert sorted(blocks, reverse=True) == sizes
+            assert runs[0] == runs[1]
+            for p, est in zip(ps, runs[0]):
+                assert abs(est.mean - poly.evaluate(p)) <= 5 * est.stderr, p
+
     @pytest.mark.parametrize("direction", ["north_rows", "east_column"])
     @pytest.mark.parametrize("size", [1, 2, 3, 10])
     def test_each_trial_against_a_full_grid_closure(self, direction, size):
         # Trial i succeeds exactly when the full-grid closure_naive oracle of
-        # its own helpers does, at block sizes around the lane word widths.
+        # its own helpers does, at block sizes around the lane word widths:
+        # 1, 9 and 17 trials take one uint8, uint16 and uint32 word, and 33
+        # one uint64 word with 31 lanes past the trials.
         from bootgrid.growth import _STREAM_DOMAIN
 
         spec, seed, ps = GrowthEventSpec(direction, size), 17, [0.0, 0.1, 0.5, 1.0]
         event = row_event_by_closure if direction == "north_rows" else column_event_by_closure
         weights = 1 << np.arange(spec.helper_cells)
         by_bits, means = {}, set()
-        for m in (1, 63, 64, 65, 130):
+        for m in (1, 9, 17, 33, 63, 64, 65, 130):
             ests = estimate_growth_mc(spec, ps, m, seed)
             assert estimate_growth_mc(spec, ps, m, seed, threads=2) == ests
             uniforms = Stream((seed, _STREAM_DOMAIN)).uniform_block(0, m, spec.helper_cells)

@@ -531,8 +531,14 @@ class TestLongStripsAgainstClosedForms:
     )
     def test_rows_within_5_stderr(self, n, p, boundary, exact):
         assert (n <= _BLOCK) is (n == 20000)  # one case on each path
-        (est,) = fill_probability(STD2, GridSpec((n, 1), boundary), [p], 2000, seed=0)
+        grid = GridSpec((n, 1), boundary)
+        (est,) = fill_probability(STD2, grid, [p], 2000, seed=0)
         assert abs(est.mean - exact(n, p)) <= 5 * est.stderr
+        if n <= _BLOCK:
+            # 2000 trials of 20000 cells are 32 blocks of one word, which
+            # threads=2 runs on the pool; the per-trial path runs on one
+            # thread whatever threads asks.
+            assert fill_probability(STD2, grid, [p], 2000, seed=0, threads=2) == [est]
 
 
 def subset_counts_by_naive(rule, grid, free, target):
